@@ -3,20 +3,29 @@
 //! The driver runs top-down while the frontier is small, and switches to
 //! bottom-up when the frontier's outgoing edge count grows past a fraction
 //! of the unexplored edges — the moment when most top-down probes would hit
-//! already-visited vertices. GAP's heuristic, reproduced here:
+//! already-visited vertices. Beamer et al.'s switch rule, with GAP's
+//! constants:
 //!
 //! * switch **top-down → bottom-up** when `scout_count > edges_to_check / α`
-//!   (α = 15), where `scout_count` is the sum of frontier degrees and
+//!   (α = 15) *and the frontier is growing* (larger than the level before
+//!   it), where `scout_count` is the sum of frontier degrees and
 //!   `edges_to_check` counts arcs out of still-unexplored vertices;
 //! * switch **bottom-up → top-down** when the frontier shrinks below
 //!   `n / β` (β = 18).
 //!
-//! High-diameter graphs (road networks) never grow a frontier big enough to
-//! switch, so they see no benefit — exactly the paper's explanation for
-//! road_usa's modest 2.9× speedup in Table 3.
+//! The growth condition matters at the end of a traversal: `edges_to_check`
+//! falls to almost nothing in the last levels of a high-diameter graph, so
+//! the α test alone would send a dwindling frontier bottom-up — a sweep of
+//! all `n` vertices to find a handful — and straight back. With it, grids
+//! never switch and road-like graphs seldom do: direction optimization
+//! saves them little — exactly the paper's explanation for road_usa's
+//! modest 2.9× speedup in Table 3.
+//!
+//! Top-down levels run on one [`SlidingQueue`] per traversal; bottom-up
+//! levels on a pair of bitmaps.
 
 use crate::bottom_up::bottom_up_step;
-use crate::frontier::AtomicBitmap;
+use crate::frontier::{AtomicBitmap, SlidingQueue};
 use crate::top_down::top_down_step;
 use crate::{BfsResult, TraversalStats, UNREACHED};
 use parhde_graph::store::GraphStore;
@@ -35,10 +44,10 @@ pub fn bfs_direction_opt<G: GraphStore>(g: &G, source: u32) -> (BfsResult, Trave
     bfs_direction_opt_params(g, source, ALPHA, BETA)
 }
 
-/// Direction-optimizing BFS with explicit α/β (exposed for the heuristic
-/// ablation benches). Larger α switches to bottom-up *sooner* (the switch
-/// threshold is `edges_to_check / α`); `alpha = 0` disables the switch
-/// entirely, degenerating to pure top-down with statistics.
+/// Direction-optimizing BFS with explicit α/β. Larger α switches to
+/// bottom-up *sooner* (the switch threshold is `edges_to_check / α`);
+/// `alpha = 0` disables the switch entirely, degenerating to a pure
+/// top-down traversal with statistics.
 ///
 /// # Panics
 /// Panics if `source` is out of range or `beta` is zero.
@@ -57,7 +66,10 @@ pub fn bfs_direction_opt_params<G: GraphStore>(
     dist[source as usize].store(0, Ordering::Relaxed);
 
     let mut stats = TraversalStats::default();
-    let mut frontier: Vec<u32> = vec![source];
+    // Top-down frontiers: every vertex enters at most once.
+    let mut queue = SlidingQueue::new(n);
+    queue.append(&[source]);
+    queue.slide_window();
     let mut reached = 1usize;
     let mut levels = 1usize;
     let mut level = 0u32;
@@ -68,6 +80,9 @@ pub fn bfs_direction_opt_params<G: GraphStore>(
     // In bottom-up mode the frontier lives in a bitmap.
     let mut current_bm: Option<AtomicBitmap> = None;
     let mut frontier_len = 1usize;
+    // The previous level's frontier size. It starts at the source's own 1,
+    // so a lone source does not count as a growing frontier.
+    let mut prev_len = 1usize;
 
     while frontier_len > 0 {
         // Cooperative cancellation point (once per level): a tripped run
@@ -80,10 +95,10 @@ pub fn bfs_direction_opt_params<G: GraphStore>(
         if !bottom_up_mode
             && alpha > 0
             && scout_count > edges_to_check / alpha
-            && frontier_len > 1
+            && frontier_len > prev_len
         {
             // Convert queue → bitmap and switch down.
-            current_bm = Some(AtomicBitmap::from_ids(n, &frontier));
+            current_bm = Some(AtomicBitmap::from_ids(n, &queue.to_vec()));
             bottom_up_mode = true;
             parhde_trace::counter!("bfs.switch_to_bottom_up", 1);
         }
@@ -95,6 +110,7 @@ pub fn bfs_direction_opt_params<G: GraphStore>(
             stats.bottom_up_steps += 1;
             stats.bottom_up_edges += scanned;
             reached += awakened;
+            prev_len = frontier_len;
             frontier_len = awakened;
             if parhde_trace::enabled() {
                 parhde_trace::counter!("bfs.bottom_up_edges", scanned as u64);
@@ -106,8 +122,10 @@ pub fn bfs_direction_opt_params<G: GraphStore>(
             levels += 1;
             if frontier_len < n / beta.max(1) {
                 // Convert bitmap → queue and switch back up.
-                frontier = next.to_vec();
+                let frontier = next.to_vec();
                 scout_count = frontier.iter().map(|&v| g.degree(v)).sum();
+                queue.append(&frontier);
+                queue.slide_window();
                 edges_to_check = edges_to_check.saturating_sub(scout_count);
                 bottom_up_mode = false;
                 parhde_trace::counter!("bfs.switch_to_top_down", 1);
@@ -115,11 +133,13 @@ pub fn bfs_direction_opt_params<G: GraphStore>(
                 current_bm = Some(next);
             }
         } else {
-            let (next, scanned) = top_down_step(g, &frontier, &dist, level);
+            let (scanned, scout) = top_down_step(g, &queue, &dist, level);
+            queue.slide_window();
             stats.top_down_steps += 1;
             stats.top_down_edges += scanned;
-            reached += next.len();
-            frontier_len = next.len();
+            reached += queue.len();
+            prev_len = frontier_len;
+            frontier_len = queue.len();
             if parhde_trace::enabled() {
                 parhde_trace::counter!("bfs.top_down_edges", scanned as u64);
                 parhde_trace::gauge!("bfs.frontier", frontier_len as f64);
@@ -128,9 +148,8 @@ pub fn bfs_direction_opt_params<G: GraphStore>(
                 break;
             }
             levels += 1;
-            scout_count = next.iter().map(|&v| g.degree(v)).sum();
+            scout_count = scout;
             edges_to_check = edges_to_check.saturating_sub(scout_count);
-            frontier = next;
         }
     }
 
@@ -224,6 +243,21 @@ mod tests {
         assert_eq!(stats.bottom_up_steps, 0);
         // 4999 productive expansions plus the final empty one.
         assert_eq!(stats.top_down_steps, 5000);
+    }
+
+    #[test]
+    fn shrinking_grid_frontier_stays_top_down() {
+        // In the last levels of a grid traversal `edges_to_check` nearly
+        // runs out, so the α test holds for a shrinking frontier; without
+        // the growth condition each such level is an n-vertex bottom-up
+        // sweep (30 from the corner, 31 from the centre).
+        let g = grid2d(190, 190);
+        for s in [0u32, 95 * 190 + 95] {
+            let (r, stats) = bfs_direction_opt(&g, s);
+            assert_eq!(stats.bottom_up_steps, 0, "source {s}");
+            assert_eq!(stats.top_down_edges, g.num_arcs(), "source {s}");
+            assert_eq!(r, bfs_serial(&g, s), "source {s}");
+        }
     }
 
     #[test]

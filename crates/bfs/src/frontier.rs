@@ -4,9 +4,10 @@
 //! of frontier vertices, natural for top-down) and a *bitmap* (one bit per
 //! vertex, natural for bottom-up, where membership tests dominate). The
 //! direction-optimizing driver converts between them when it switches
-//! direction.
+//! direction. The queue is GAP's sliding queue ([`SlidingQueue`]): one
+//! array holds every top-down frontier of a traversal.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of `u64` lane words needed to hold `lanes` one-bit BFS lanes
 /// (`⌈lanes/64⌉`). The batched multi-source kernel allocates
@@ -125,6 +126,104 @@ impl AtomicBitmap {
     }
 }
 
+/// GAP's sliding queue: every top-down frontier of one traversal in one
+/// array. The frontier is the *window*; a level appends the vertices it
+/// claims past the window's end, and [`slide_window`](Self::slide_window)
+/// makes them the next window. A vertex enters at most once per traversal,
+/// so `n` slots serve the whole traversal and no level allocates.
+///
+/// Slots are relaxed atomics: in a parallel level workers read the window
+/// while they append past it, and the level-end join orders both — the same
+/// reasoning as [`AtomicBitmap`].
+#[derive(Debug)]
+pub struct SlidingQueue {
+    slots: Vec<AtomicU32>,
+    /// First free slot; appends claim slots from here.
+    tail: AtomicUsize,
+    start: usize,
+    end: usize,
+}
+
+impl SlidingQueue {
+    /// An empty queue (and empty window) with room for `capacity` appends.
+    pub fn new(capacity: usize) -> Self {
+        let slots = (0..capacity).map(|_| AtomicU32::new(0)).collect();
+        Self { slots, tail: AtomicUsize::new(0), start: 0, end: 0 }
+    }
+
+    /// Number of vertices in the window.
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// True if the window is empty.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The window: the current frontier.
+    pub fn window(&self) -> &[AtomicU32] {
+        &self.slots[self.start..self.end]
+    }
+
+    /// Appends `ids` from any thread, with one `fetch_add` on the tail.
+    ///
+    /// # Panics
+    /// Panics if the queue is full.
+    pub fn append(&self, ids: &[u32]) {
+        let at = self.tail.fetch_add(ids.len(), Ordering::Relaxed);
+        for (slot, &v) in self.slots[at..at + ids.len()].iter().zip(ids) {
+            slot.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Makes everything appended since the last slide the window.
+    pub fn slide_window(&mut self) {
+        self.start = self.end;
+        self.end = *self.tail.get_mut();
+    }
+
+    /// The window's vertices, in window order.
+    pub fn to_vec(&self) -> Vec<u32> {
+        self.window().iter().map(|v| v.load(Ordering::Relaxed)).collect()
+    }
+}
+
+/// Vertices a [`QueueBuffer`] stages before it appends them.
+const QUEUE_BUFFER: usize = 1024;
+
+/// A worker's staging buffer for a [`SlidingQueue`]: it appends in batches
+/// of [`QUEUE_BUFFER`] vertices, one `fetch_add` each, instead of one
+/// atomic per vertex. Call [`flush`](Self::flush) before dropping it.
+pub struct QueueBuffer<'a> {
+    queue: &'a SlidingQueue,
+    buf: [u32; QUEUE_BUFFER],
+    len: usize,
+}
+
+impl<'a> QueueBuffer<'a> {
+    /// An empty buffer appending to `queue`.
+    pub fn new(queue: &'a SlidingQueue) -> Self {
+        Self { queue, buf: [0; QUEUE_BUFFER], len: 0 }
+    }
+
+    /// Stages `v`, appending the buffer first if it is full.
+    #[inline]
+    pub fn push(&mut self, v: u32) {
+        if self.len == QUEUE_BUFFER {
+            self.flush();
+        }
+        self.buf[self.len] = v;
+        self.len += 1;
+    }
+
+    /// Appends every staged vertex to the queue.
+    pub fn flush(&mut self) {
+        self.queue.append(&self.buf[..self.len]);
+        self.len = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,6 +277,41 @@ mod tests {
         let bm = AtomicBitmap::new(0);
         assert!(bm.is_empty());
         assert_eq!(bm.to_vec(), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn sliding_queue_windows_follow_appends() {
+        let mut q = SlidingQueue::new(6);
+        assert!(q.is_empty());
+        q.append(&[4]);
+        assert!(q.is_empty(), "an append joins the window only on a slide");
+        q.slide_window();
+        assert_eq!(q.to_vec(), vec![4]);
+        q.append(&[1, 5]);
+        q.append(&[0]);
+        q.slide_window();
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.to_vec(), vec![1, 5, 0]);
+        q.slide_window();
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn queue_buffers_append_every_vertex_once() {
+        // Three workers' buffers each overflow QUEUE_BUFFER at least once.
+        let per = 2 * QUEUE_BUFFER + 7;
+        let mut q = SlidingQueue::new(3 * per);
+        (0..3u32).into_par_iter().for_each(|w| {
+            let mut out = QueueBuffer::new(&q);
+            for i in 0..per as u32 {
+                out.push(w * per as u32 + i);
+            }
+            out.flush();
+        });
+        q.slide_window();
+        let mut ids = q.to_vec();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..3 * per as u32).collect::<Vec<_>>());
     }
 
     #[test]

@@ -8,21 +8,22 @@
 //!
 //! * [`serial`] — the textbook sequential queue BFS (the prior-work
 //!   baseline and the per-source kernel of the random-pivot strategy);
-//! * [`top_down`] — level-synchronous parallel expansion of the frontier,
-//!   claiming vertices with compare-and-swap;
+//! * [`top_down`] — level-synchronous parallel expansion of the frontier
+//!   on a sliding queue, claiming vertices with compare-and-swap;
 //! * [`bottom_up`] — unvisited vertices scan their own adjacency for a
 //!   frontier parent, writing distances without atomics (each distance cell
 //!   is written only by its owning vertex's iteration — the "atomic-free"
 //!   distance update of §3.1);
 //! * [`direction_opt`] — the α/β heuristic driver that switches between the
-//!   two, plus traversal statistics (edge-scan counts) that expose the
-//!   work-reduction factor γ of Table 1;
+//!   two (bottom-up only while the frontier grows), plus traversal
+//!   statistics (edge-scan counts) that expose the work-reduction factor γ
+//!   of Table 1;
 //! * [`multi`] — concurrently running independent BFSes (one sequential BFS
 //!   per thread), the original random-pivot execution mode of Table 6;
 //! * [`batch`] — bit-parallel batched multi-source BFS: up to 64 sources
 //!   per `u64` lane word advance through one shared graph sweep (MS-BFS),
 //!   so edge data is streamed once per level instead of once per source;
-//! * [`frontier`] — the shared frontier containers (chunked queue, atomic
+//! * [`frontier`] — the shared frontier containers (sliding queue, atomic
 //!   bitmap, lane-word helpers).
 //!
 //! Callers producing a distance matrix should not pick among [`serial`],

@@ -4,10 +4,9 @@
 //! a `.phdegrf` snapshot must match layouts from RAM exactly.
 
 use parhde_bfs::batch::bfs_batched;
-use parhde_bfs::direction_opt::bfs_direction_opt;
+use parhde_bfs::direction_opt::{bfs_direction_opt, bfs_direction_opt_params, BETA};
 use parhde_bfs::multi::bfs_multi_source;
 use parhde_bfs::serial::bfs_serial;
-use parhde_bfs::top_down::bfs_top_down;
 use parhde_graph::gen::{chain, grid2d, kron, pref_attach, star};
 use parhde_graph::{CompressedCsr, CsrGraph};
 
@@ -35,7 +34,12 @@ fn serial_identical_across_storages() {
 fn top_down_identical_across_storages() {
     for (name, g) in graphs() {
         let c = CompressedCsr::from_csr(&g);
-        assert_eq!(bfs_top_down(&g, 0), bfs_top_down(&c, 0), "{name}");
+        // α = 0: the direction-optimizing BFS never leaves top-down.
+        assert_eq!(
+            bfs_direction_opt_params(&g, 0, 0, BETA),
+            bfs_direction_opt_params(&c, 0, 0, BETA),
+            "{name}"
+        );
     }
 }
 

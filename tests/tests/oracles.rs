@@ -1,10 +1,9 @@
 //! Cross-algorithm oracle tests: independent implementations of the same
 //! quantity must agree.
 
-use parhde_bfs::direction_opt::bfs_direction_opt;
+use parhde_bfs::direction_opt::{bfs_direction_opt, bfs_direction_opt_params, BETA};
 use parhde_bfs::multi::bfs_multi_source;
 use parhde_bfs::serial::bfs_serial;
-use parhde_bfs::top_down::bfs_top_down;
 use parhde_graph::builder::build_weighted_from_edges;
 use parhde_graph::gen;
 use parhde_graph::prep::largest_component;
@@ -24,7 +23,8 @@ fn bfs_implementations_agree_across_families() {
     for (i, g) in graphs.iter().enumerate() {
         let src = (i as u32 * 97) % g.num_vertices() as u32;
         let serial = bfs_serial(g, src);
-        let td = bfs_top_down(g, src);
+        // α = 0: pure top-down.
+        let (td, _) = bfs_direction_opt_params(g, src, 0, BETA);
         let (dopt, _) = bfs_direction_opt(g, src);
         assert_eq!(serial, td, "graph {i}: top-down mismatch");
         assert_eq!(serial, dopt, "graph {i}: direction-opt mismatch");

@@ -63,15 +63,16 @@
 //! process exits 130. A degraded-but-successful supervised run exits 0.
 //!
 //! When any trace output is requested the per-phase breakdown table (the
-//! paper's Figure-3 split) is printed after the layout completes; the
-//! percentages in the Chrome trace match it because both views are fed by
-//! the same `PhaseSpan` intervals.
+//! paper's Figure-3 split) is printed after the layout completes. The
+//! table, the JSON report and the Chrome/NDJSON timelines all render from
+//! the run's one record (DESIGN.md §9), so they cannot disagree.
 
 use parhde::config::{
     BfsMode, LinalgBackend, LinalgMode, OrthoMethod, ParHdeConfig, PivotStrategy,
 };
 use parhde::multilevel::{multilevel_hde, MultilevelConfig};
 use parhde::phde::PhdeConfig;
+use parhde::stats::render_report;
 use parhde::{
     try_par_hde_nd_supervised, try_par_hde_resume, try_phde, try_pivot_mds,
     Checkpoint, CheckpointSpec, HdeError, HdeStats, Layout, SuperviseOptions,
@@ -88,15 +89,17 @@ use parhde_util::Timer;
 use std::path::PathBuf;
 use std::process::exit;
 
-/// Owns the trace session and every requested output artifact, so that
-/// *any* exit path — success, typed failure, bad usage after the session
-/// started — flushes what was observed. The `--json-report` contract is
-/// that a report lands on disk even for degraded and failed runs.
+/// Owns the trace session — the run's record — and every requested output
+/// artifact, so that *any* exit path — success, typed failure, bad usage
+/// after the session started — flushes what was observed. The
+/// `--json-report` contract is that a report lands on disk even for
+/// degraded and failed runs.
 struct Emitter {
     session: Option<TraceSession>,
     chrome: Option<PathBuf>,
     ndjson: Option<PathBuf>,
     report_path: Option<PathBuf>,
+    /// What only the CLI knows for the report: algorithm, graph, config.
     report: RunReport,
     started: Timer,
 }
@@ -121,10 +124,11 @@ impl Emitter {
     /// Finishes the session and writes every requested artifact. Output
     /// failures are diagnosed but do not mask the run's own exit code.
     fn finish(&mut self, exit_code: i32, error: Option<&str>) {
-        let trace = match self.session.take() {
-            Some(s) => s.finish(),
-            None => return,
-        };
+        let Some(session) = self.session.take() else { return };
+        if let Some(rss) = parhde_trace::peak_rss_bytes() {
+            parhde_trace::gauge!("process.peak_rss_bytes", rss as f64);
+        }
+        let trace = session.finish();
         if let Some(path) = &self.chrome {
             let out = std::fs::File::create(path)
                 .and_then(|f| parhde_trace::chrome::write_chrome_trace(&trace, f));
@@ -142,25 +146,13 @@ impl Emitter {
             }
         }
         if let Some(path) = &self.report_path {
-            let r = &mut self.report;
-            r.exit_code = exit_code;
-            r.error = error.map(String::from);
-            r.total_seconds = self.started.seconds();
-            r.counters = trace.counter_totals();
-            r.gauges = trace.gauge_finals();
-            if let Some(rss) = parhde_trace::peak_rss_bytes() {
-                r.gauges.push(("process.peak_rss_bytes".into(), rss as f64));
-            }
-            // A failed run may never have produced HdeStats; fall back to
-            // whatever phase spans the trace captured before the error.
-            if r.phases.is_empty() {
-                r.phases = trace.phase_seconds();
-            }
-            if r.warnings.is_empty() {
-                r.warnings =
-                    trace.warnings().iter().map(|w| w.message.clone()).collect();
-            }
-            match std::fs::write(path, self.report.to_json()) {
+            let head = RunReport {
+                exit_code,
+                error: error.map(String::from),
+                total_seconds: self.started.seconds(),
+                ..std::mem::take(&mut self.report)
+            };
+            match std::fs::write(path, render_report(head, &trace.totals).to_json()) {
                 Ok(()) => eprintln!("report: wrote {}", path.display()),
                 Err(e) => eprintln!("report: cannot write {}: {e}", path.display()),
             }
@@ -189,19 +181,18 @@ impl Emitter {
     }
 }
 
-/// Reports degradations the fail-soft pipeline absorbed and folds the run's
-/// statistics into the pending JSON report.
-fn absorb_stats(em: &mut Emitter, stats: &HdeStats) {
+/// Reports the degradations the fail-soft pipeline absorbed, the phase
+/// breakdown (the textual Figure 3) when artifacts were asked for, and the
+/// modes the run executed in for the JSON report.
+fn report_stats(em: &mut Emitter, stats: &HdeStats) {
     for w in &stats.warnings {
         eprintln!("parhde-layout: warning: {w}");
     }
-    em.report.phases = stats
-        .phases
-        .iter()
-        .map(|(name, d)| (name.to_string(), d.as_secs_f64()))
-        .collect();
-    em.report.grouped = stats.grouped().entries();
-    em.report.warnings = stats.warnings.iter().map(|w| w.to_string()).collect();
+    if em.active() {
+        let entries: Vec<(String, f64)> =
+            stats.phases.iter().map(|(name, d)| (name.to_string(), d.as_secs_f64())).collect();
+        eprint!("{}", parhde_trace::phases::render_breakdown(&entries));
+    }
     if let Some(mode) = stats.bfs_mode {
         em.report.config.push(("bfs_mode_executed".into(), mode.into()));
     }
@@ -211,16 +202,6 @@ fn absorb_stats(em: &mut Emitter, stats: &HdeStats) {
     if let Some(be) = stats.backend_executed {
         em.report.config.push(("backend_executed".into(), be.into()));
     }
-}
-
-/// Prints the per-phase wall-time split — the textual Figure 3.
-fn print_breakdown(stats: &HdeStats) {
-    let entries: Vec<(String, f64)> = stats
-        .phases
-        .iter()
-        .map(|(name, d)| (name.to_string(), d.as_secs_f64()))
-        .collect();
-    eprint!("{}", parhde_trace::phases::render_breakdown(&entries));
 }
 
 /// Parses a human-friendly duration: `"2s"`, `"500ms"`, `"90m"`, or a bare
@@ -677,10 +658,7 @@ fn layout_and_emit<G: GraphStore>(
             };
             match try_par_hde_resume(g, &cfg, 2, &ckpt) {
                 Ok((coords, stats)) => {
-                    absorb_stats(&mut em, &stats);
-                    if em.active() {
-                        print_breakdown(&stats);
-                    }
+                    report_stats(&mut em, &stats);
                     Layout::from_coords(&coords)
                 }
                 Err(e) => em.fail_typed("resume failed", &e),
@@ -696,12 +674,6 @@ fn layout_and_emit<G: GraphStore>(
             };
             match try_par_hde_nd_supervised(g, &cfg, 2, &opts) {
                 Ok(sup) => {
-                    for step in &sup.ladder {
-                        eprintln!(
-                            "parhde-layout: supervisor: rung {:?} abandoned: {}",
-                            step.rung, step.cause
-                        );
-                    }
                     if sup.rung != "full" {
                         eprintln!(
                             "parhde-layout: supervisor: degraded to rung {:?}",
@@ -709,10 +681,7 @@ fn layout_and_emit<G: GraphStore>(
                         );
                     }
                     em.report.config.push(("supervisor_rung".into(), sup.rung.into()));
-                    absorb_stats(&mut em, &sup.stats);
-                    if em.active() {
-                        print_breakdown(&sup.stats);
-                    }
+                    report_stats(&mut em, &sup.stats);
                     Layout::from_coords(&sup.coords)
                 }
                 Err(e) => em.fail_typed("layout failed", &e),
@@ -730,20 +699,14 @@ fn layout_and_emit<G: GraphStore>(
             match algo.as_str() {
                 "phde" => match try_phde(csr, &PhdeConfig::from(&cfg)) {
                     Ok((layout, stats)) => {
-                        absorb_stats(&mut em, &stats);
-                        if em.active() {
-                            print_breakdown(&stats);
-                        }
+                        report_stats(&mut em, &stats);
                         layout
                     }
                     Err(e) => em.fail_typed("layout failed", &e),
                 },
                 "pivotmds" => match try_pivot_mds(csr, &PhdeConfig::from(&cfg)) {
                     Ok((layout, stats)) => {
-                        absorb_stats(&mut em, &stats);
-                        if em.active() {
-                            print_breakdown(&stats);
-                        }
+                        report_stats(&mut em, &stats);
                         layout
                     }
                     Err(e) => em.fail_typed("layout failed", &e),

@@ -18,6 +18,11 @@
 //! served by the daemon's `STATS` verb); each `--metrics-ndjson` file a
 //! `parhde-metrics-ndjson` v1 registry snapshot.
 //!
+//! `--report` also checks the report against the one record it renders:
+//! every `phases` name must belong to the phase vocabulary
+//! (`parhde::stats::phase::ALL`), and a report with phases must carry
+//! their `grouped` Figure-3 buckets.
+//!
 //! `--report` additionally cross-checks the compute backend: when the
 //! report carries a `backend_executed` config pair and any
 //! `linalg.backend.*` element counters, every counted element must be
@@ -27,11 +32,18 @@
 
 use std::process::exit;
 
-/// `--report` checker: schema validation plus the backend cross-check
-/// described in the module docs.
+/// `--report` checker: schema validation, the phase vocabulary and the
+/// backend cross-check described in the module docs.
 fn check_report(text: &str) -> Result<(), String> {
-    parhde_trace::RunReport::validate(text)?;
     let report = parhde_trace::RunReport::from_json(text)?;
+    if let Some((name, _)) =
+        report.phases.iter().find(|(name, _)| parhde::stats::phase::lookup(name).is_none())
+    {
+        return Err(format!("phase {name:?} is outside the phase vocabulary"));
+    }
+    if !report.phases.is_empty() && report.grouped.is_empty() {
+        return Err("the report has phases but no grouped buckets".into());
+    }
     let Some((_, executed)) =
         report.config.iter().find(|(k, _)| k == "backend_executed")
     else {

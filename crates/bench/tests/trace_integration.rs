@@ -1,8 +1,8 @@
 //! End-to-end observability tests: a [`TraceSession`] wrapped around the
-//! real pipelines must agree with the wall-clock statistics the pipelines
-//! report themselves, counter totals must be invariant to the thread count
-//! (they measure *work*, not schedule), and sessions live on two threads
-//! at once must each hold only their own run.
+//! real pipelines must hold exactly what the pipelines report in their
+//! stats, its timeline must agree with both, counter totals must be
+//! invariant to the thread count (they measure *work*, not schedule), and
+//! sessions live on two threads at once must each hold only their own run.
 
 use parhde::config::ParHdeConfig;
 use parhde::{try_par_hde, try_pivot_mds, PhdeConfig};
@@ -20,13 +20,35 @@ fn cfg() -> ParHdeConfig {
 /// Sorted counter totals of the work counters. Work counters must not
 /// depend on the schedule; the process.* family measures OS memory
 /// (peak-RSS deltas), which legitimately varies, so it is exempt.
-fn work_totals(trace: &Trace) -> Vec<(String, u64)> {
-    let mut totals: Vec<(String, u64)> = trace
-        .counter_totals()
-        .into_iter()
+fn work_totals(trace: &Trace) -> Vec<(&'static str, u64)> {
+    let mut totals: Vec<(&'static str, u64)> = trace
+        .totals
+        .counters
+        .iter()
+        .copied()
         .filter(|(name, _)| !name.starts_with("process."))
         .collect();
     totals.sort();
+    totals
+}
+
+/// Seconds per span name on the timeline, outermost occurrences only.
+fn span_seconds(trace: &Trace) -> HashMap<String, f64> {
+    let mut totals = HashMap::new();
+    for th in &trace.threads {
+        let mut stack: Vec<&str> = Vec::new();
+        for ev in &th.events {
+            if let TraceEvent::Span(s) = ev {
+                stack.truncate(s.depth);
+                let shadowed = stack.contains(&s.name.as_str());
+                stack.push(&s.name);
+                if !shadowed {
+                    let secs = s.end_ns.saturating_sub(s.begin_ns) as f64 / 1e9;
+                    *totals.entry(s.name.clone()).or_insert(0.0) += secs;
+                }
+            }
+        }
+    }
     totals
 }
 
@@ -45,15 +67,17 @@ fn trace_phase_seconds_agree_with_stats_breakdown() {
     let (_, stats) = try_par_hde(&g, &cfg()).unwrap();
     let trace = session.finish();
 
-    let traced: HashMap<String, f64> = trace.phase_seconds().into_iter().collect();
+    // The session's record holds exactly what the call read back.
+    assert_eq!(trace.totals.phases, stats.phases);
+    let traced = span_seconds(&trace);
     assert!(!stats.phases.is_empty(), "pipeline recorded no phases");
     for (name, d) in stats.phases.iter() {
         let wall = d.as_secs_f64();
         let span = *traced
             .get(name)
             .unwrap_or_else(|| panic!("phase {name} missing from trace: {traced:?}"));
-        // Both views time the same PhaseSpan interval; allow scheduler
-        // noise between the two clock reads.
+        // The phase guard times the same interval its span covers; allow
+        // scheduler noise between the two clock reads.
         let diff = (span - wall).abs();
         assert!(
             diff < 0.005 + 0.05 * wall.max(span),
@@ -77,7 +101,8 @@ fn trace_captures_pipeline_counters_and_root_span() {
     let (_, stats) = try_par_hde(&g, &cfg()).unwrap();
     let trace = session.finish();
 
-    let totals: HashMap<String, u64> = trace.counter_totals().into_iter().collect();
+    assert_eq!(trace.totals.counters, stats.counters);
+    let totals: HashMap<&str, u64> = trace.totals.counters.iter().copied().collect();
     // The BFS phase traversed the graph once per pivot: edge counters must
     // reflect real work on a connected grid.
     let edges = totals.get("bfs.top_down_edges").copied().unwrap_or(0)
@@ -105,7 +130,7 @@ fn trace_captures_pipeline_counters_and_root_span() {
 #[test]
 fn counter_totals_are_thread_count_invariant() {
     let g = largest_component(&gen::kron(9, 12, 7)).graph;
-    let mut baseline: Option<Vec<(String, u64)>> = None;
+    let mut baseline: Option<Vec<(&str, u64)>> = None;
     for threads in [1usize, 2, 4] {
         let session = TraceSession::begin();
         let result = run_with_threads(threads, || try_par_hde(&g, &cfg()));

@@ -265,12 +265,10 @@ pub fn bfs_batched_into_f64<G: GraphStore>(
         words_scanned,
         reached,
     };
-    if parhde_trace::enabled() {
-        parhde_trace::counter!("bfs.batch.lanes", stats.lanes as u64);
-        parhde_trace::counter!("bfs.batch.words", stats.words as u64);
-        parhde_trace::counter!("bfs.batch.levels", stats.levels as u64);
-        parhde_trace::counter!("bfs.batch.words_scanned", stats.words_scanned);
-    }
+    parhde_trace::counter!("bfs.batch.lanes", stats.lanes as u64);
+    parhde_trace::counter!("bfs.batch.words", stats.words as u64);
+    parhde_trace::counter!("bfs.batch.levels", stats.levels as u64);
+    parhde_trace::counter!("bfs.batch.words_scanned", stats.words_scanned);
     stats
 }
 

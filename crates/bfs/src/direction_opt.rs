@@ -112,10 +112,8 @@ pub fn bfs_direction_opt_params<G: GraphStore>(
             reached += awakened;
             prev_len = frontier_len;
             frontier_len = awakened;
-            if parhde_trace::enabled() {
-                parhde_trace::counter!("bfs.bottom_up_edges", scanned as u64);
-                parhde_trace::gauge!("bfs.frontier", frontier_len as f64);
-            }
+            parhde_trace::counter!("bfs.bottom_up_edges", scanned as u64);
+            parhde_trace::gauge!("bfs.frontier", frontier_len as f64);
             if frontier_len == 0 {
                 break;
             }
@@ -140,10 +138,8 @@ pub fn bfs_direction_opt_params<G: GraphStore>(
             reached += queue.len();
             prev_len = frontier_len;
             frontier_len = queue.len();
-            if parhde_trace::enabled() {
-                parhde_trace::counter!("bfs.top_down_edges", scanned as u64);
-                parhde_trace::gauge!("bfs.frontier", frontier_len as f64);
-            }
+            parhde_trace::counter!("bfs.top_down_edges", scanned as u64);
+            parhde_trace::gauge!("bfs.frontier", frontier_len as f64);
             if frontier_len == 0 {
                 break;
             }

@@ -76,15 +76,15 @@ pub fn bfs_multi_source_into_f64<G: GraphStore>(
             let r = bfs_serial(g, s);
             if parhde_trace::enabled() {
                 // Undirected CSR: every arc of the reached component is
-                // examined exactly once by a sequential BFS.
+                // examined exactly once by a sequential BFS — all of them
+                // when it reached every vertex.
                 parhde_trace::counter!("bfs.top_down_edges", {
-                    let mut arcs = 0u64;
-                    for (v, &d) in r.dist.iter().enumerate() {
-                        if d != UNREACHED {
-                            arcs += g.degree(v as u32) as u64;
-                        }
+                    if r.reached == n {
+                        g.num_arcs() as u64
+                    } else {
+                        let reached = r.dist.iter().enumerate().filter(|(_, &d)| d != UNREACHED);
+                        reached.map(|(v, _)| g.degree(v as u32) as u64).sum()
                     }
-                    arcs
                 });
             }
             for (o, &d) in col.iter_mut().zip(&r.dist) {

@@ -34,7 +34,7 @@
 use crate::config::{BfsMode, PivotStrategy};
 use crate::error::{HdeError, Warning};
 use crate::pivots::{farthest_vertex, fold_min_distance};
-use crate::stats::{phase, HdeStats, PhaseSpan};
+use crate::stats::{begin, phase, warn, HdeStats};
 use parhde_bfs::batch::bfs_batched_into_f64;
 use parhde_bfs::direction_opt::bfs_direction_opt_into_f64;
 use parhde_bfs::frontier::lane_words;
@@ -222,9 +222,6 @@ pub fn plan_bfs_phase_stored(
 /// Emits the chosen mode and batch geometry as trace counters so run
 /// reports explain the planner's decision.
 fn trace_plan(plan: &BfsPlan) {
-    if !parhde_trace::enabled() {
-        return;
-    }
     let mode_counter = match plan.mode {
         PlannedBfsMode::DirectionOpt => "bfs.mode.direction_opt",
         PlannedBfsMode::PerSource => "bfs.mode.per_source",
@@ -238,8 +235,9 @@ fn trace_plan(plan: &BfsPlan) {
 }
 
 /// Runs the BFS phase: fills `b`, the column-major `n×s` distance matrix
-/// `B` (one column per pivot, `s = b.len() / n`), recording pivots, the
-/// executed BFS mode, phase times, and traversal statistics into `stats`.
+/// `B` (one column per pivot, `s = b.len() / n`), recording pivots and the
+/// executed BFS mode into `stats` and phase times, traversal counters and
+/// warnings into the thread's run record.
 /// The caller owns the storage, so ParHDE passes columns `1..=s` of its
 /// basis `S` and no separate `B` is ever allocated. `rng` supplies the
 /// random start vertex / random pivots; `mode` is the user-facing planner
@@ -269,10 +267,7 @@ pub(crate) fn run_bfs_phase<G: GraphStore>(
             // kernel cannot apply; the per-pivot choice is serial vs
             // direction-optimizing.
             if mode == BfsMode::Batched {
-                parhde_trace::warning(
-                    "k-centers pivots are sequentially dependent; batched BFS \
-                     unavailable, using direction-optimizing BFS",
-                );
+                warn(Warning::BatchedBfsUnavailable);
             }
             let serial_each = !parallel_bfs || mode == BfsMode::PerSource;
             stats.bfs_mode = Some(if serial_each {
@@ -280,18 +275,16 @@ pub(crate) fn run_bfs_phase<G: GraphStore>(
             } else {
                 PlannedBfsMode::DirectionOpt.label()
             });
-            kcenters(n, b, rng, stats, |src, col, stats| {
+            kcenters(n, b, rng, stats, |src, col| {
                 if serial_each {
                     bfs_serial_into_f64(g, src, col)
                 } else {
-                    let (reached, trav) = bfs_direction_opt_into_f64(g, src, col);
-                    crate::parhde::accumulate(&mut stats.traversal, trav);
-                    reached
+                    bfs_direction_opt_into_f64(g, src, col).0
                 }
             })?;
         }
         PivotStrategy::Random => {
-            let ph = PhaseSpan::begin(phase::BFS_OTHER);
+            let ph = begin(phase::BFS_OTHER);
             let sources: Vec<u32> = rng
                 .sample_distinct(n, s)
                 .into_iter()
@@ -309,8 +302,8 @@ pub(crate) fn run_bfs_phase<G: GraphStore>(
             );
             stats.bfs_mode = Some(plan.mode.label());
             trace_plan(&plan);
-            ph.end(&mut stats.phases);
-            let ph = PhaseSpan::begin(phase::BFS);
+            drop(ph);
+            let ph = begin(phase::BFS);
             let mut cols: Vec<&mut [f64]> = b.chunks_mut(n).collect();
             let reached_first = match plan.mode {
                 PlannedBfsMode::PerSource => {
@@ -324,8 +317,7 @@ pub(crate) fn run_bfs_phase<G: GraphStore>(
                 PlannedBfsMode::DirectionOpt => {
                     let mut first = n;
                     for (i, (&src, col)) in sources.iter().zip(cols).enumerate() {
-                        let (reached, trav) = bfs_direction_opt_into_f64(g, src, col);
-                        crate::parhde::accumulate(&mut stats.traversal, trav);
+                        let (reached, _) = bfs_direction_opt_into_f64(g, src, col);
                         if i == 0 {
                             first = reached;
                         }
@@ -333,7 +325,7 @@ pub(crate) fn run_bfs_phase<G: GraphStore>(
                     first
                 }
             };
-            ph.end(&mut stats.phases);
+            drop(ph);
             // As above: the trip outranks the partial-reach it causes.
             crate::supervise::budget_check(phase::BFS)?;
             if reached_first != n {
@@ -346,9 +338,9 @@ pub(crate) fn run_bfs_phase<G: GraphStore>(
 
 /// Farthest-first k-centers pivots (Algorithm 3 line 8): fills the columns
 /// of `b` one traversal at a time, each from the vertex farthest from all
-/// earlier pivots. `traverse(src, col, stats)` writes the distances from
-/// `src` into `col` and returns how many vertices it reached. Shared by the
-/// BFS phase and the weighted pipeline's SSSP phase.
+/// earlier pivots. `traverse(src, col)` writes the distances from `src`
+/// into `col` and returns how many vertices it reached. Shared by the BFS
+/// phase and the weighted pipeline's SSSP phase.
 ///
 /// # Errors
 /// [`HdeError::Disconnected`] if a traversal fails to reach every vertex.
@@ -357,16 +349,16 @@ pub(crate) fn kcenters(
     b: &mut [f64],
     rng: &mut Xoshiro256StarStar,
     stats: &mut HdeStats,
-    mut traverse: impl FnMut(u32, &mut [f64], &mut HdeStats) -> usize,
+    mut traverse: impl FnMut(u32, &mut [f64]) -> usize,
 ) -> Result<(), HdeError> {
     let mut min_dist = vec![f64::INFINITY; n];
     let mut src = rng.next_index(n) as u32;
     let mut nan_dropped = 0usize;
     for col in b.chunks_mut(n) {
         stats.sources.push(src);
-        let ph = PhaseSpan::begin(phase::BFS);
-        let reached = traverse(src, col, stats);
-        ph.end(&mut stats.phases);
+        let ph = begin(phase::BFS);
+        let reached = traverse(src, col);
+        drop(ph);
         // Budget check BEFORE the connectivity check: an abandoned
         // traversal reaches fewer than n vertices, and the trip must win
         // over the spurious "disconnected" that creates.
@@ -374,17 +366,17 @@ pub(crate) fn kcenters(
         if reached != n {
             return Err(HdeError::Disconnected { reached, n });
         }
-        let ph = PhaseSpan::begin(phase::BFS_OTHER);
+        let ph = begin(phase::BFS_OTHER);
         // BFS levels are finite by construction, but Δ-stepping on poisoned
         // weights can emit NaN distances; both reductions exclude (and
         // count) them rather than let a NaN pivot corrupt the whole
         // k-centers sequence.
         nan_dropped += fold_min_distance(&mut min_dist, col);
         src = farthest_vertex(&min_dist);
-        ph.end(&mut stats.phases);
+        drop(ph);
     }
     if nan_dropped > 0 {
-        stats.warn(Warning::NanDistances { count: nan_dropped });
+        warn(Warning::NanDistances { count: nan_dropped });
     }
     Ok(())
 }

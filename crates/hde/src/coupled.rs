@@ -14,9 +14,9 @@ use crate::config::{OrthoMethod, ParHdeConfig, PivotStrategy};
 use crate::driver::{eigensolve, project, strict, triple_prod};
 use crate::error::Warning;
 use crate::layout::Layout;
-use crate::parhde::{accumulate, assert_connected};
+use crate::parhde::assert_connected;
 use crate::pivots::{farthest_vertex, fold_min_distance};
-use crate::stats::{phase, HdeStats, PhaseSpan};
+use crate::stats::{begin, phase, recorded, warn, HdeStats};
 use parhde_bfs::direction_opt::bfs_direction_opt_into_f64;
 use parhde_graph::CsrGraph;
 use parhde_linalg::dense::ColMajorMatrix;
@@ -32,6 +32,10 @@ use parhde_util::Xoshiro256StarStar;
 /// Panics like [`crate::par_hde`], or if the configuration requests random
 /// pivots, CGS, or raw-basis projection.
 pub fn par_hde_coupled(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
+    recorded(|| coupled(g, cfg))
+}
+
+fn coupled(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
     let n = g.num_vertices();
     strict(cfg.validate(n));
     assert_eq!(
@@ -55,7 +59,7 @@ pub fn par_hde_coupled(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
     };
     let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed);
 
-    let ph = PhaseSpan::begin(phase::INIT);
+    let ph = begin(phase::INIT);
     let mut smat = ColMajorMatrix::zeros(n, s + 1);
     smat.col_mut(0).fill(1.0 / (n as f64).sqrt());
     let degrees = g.degree_vector();
@@ -70,55 +74,54 @@ pub fn par_hde_coupled(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
     let mut min_dist = vec![f64::INFINITY; n];
     let mut src = rng.next_index(n) as u32;
     let mut nan_dropped = 0usize;
-    ph.end(&mut stats.phases);
+    drop(ph);
 
     for i in 1..=s {
         stats.sources.push(src);
         // BFS straight into column i; pivot selection folds the raw
         // distances before the MGS step overwrites them.
-        let ph = PhaseSpan::begin(phase::BFS);
-        let (reached, trav) = bfs_direction_opt_into_f64(g, src, smat.col_mut(i));
-        ph.end(&mut stats.phases);
-        accumulate(&mut stats.traversal, trav);
+        let ph = begin(phase::BFS);
+        let (reached, _) = bfs_direction_opt_into_f64(g, src, smat.col_mut(i));
+        drop(ph);
         // Budget check before the connectivity assert: an abandoned
         // traversal reaches fewer than n vertices, and the trip must win
         // over the spurious "disconnected" panic that would cause.
         crate::supervise::budget_check_strict(phase::BFS);
         assert_connected(reached, n);
 
-        let ph = PhaseSpan::begin(phase::BFS_OTHER);
+        let ph = begin(phase::BFS_OTHER);
         // BFS levels are finite; a nonzero count means a kernel regression
         // and is worth a warning even in this strict pipeline.
         nan_dropped += fold_min_distance(&mut min_dist, smat.col(i));
         src = farthest_vertex(&min_dist);
-        ph.end(&mut stats.phases);
+        drop(ph);
 
         // Coupled DOrtho: orthogonalize this column immediately.
-        let ph = PhaseSpan::begin(phase::DORTHO);
+        let ph = begin(phase::DORTHO);
         if !ortho.step(&mut smat, i) {
             dropped += 1;
         }
-        ph.end(&mut stats.phases);
+        drop(ph);
     }
 
     // Compact to the kept non-constant columns.
-    let ph = PhaseSpan::begin(phase::DORTHO);
+    let ph = begin(phase::DORTHO);
     smat.retain_columns(ortho.kept());
     let survivors: Vec<usize> = (1..smat.cols()).collect();
     smat.retain_columns(&survivors);
     stats.dropped_columns = dropped;
     stats.s_kept = smat.cols();
     if nan_dropped > 0 {
-        stats.warn(Warning::NanDistances { count: nan_dropped });
+        warn(Warning::NanDistances { count: nan_dropped });
     }
-    ph.end(&mut stats.phases);
+    drop(ph);
     crate::supervise::budget_check_strict(phase::DORTHO);
     assert!(smat.cols() >= 2, "fewer than two directions survived");
 
     // TripleProd + eigensolve + projection, the decoupled path's own steps.
     let z = strict(triple_prod(g, &degrees, &smat, cfg.linalg_mode, &mut stats));
     let y = strict(eigensolve(&smat, &z, weights, 2, &mut stats));
-    let coords = strict(project(&smat, &y, &mut stats));
+    let coords = strict(project(&smat, &y));
     (Layout::from_coords(&coords), stats)
 }
 

@@ -10,14 +10,15 @@
 //!   for `n ≤ p`, the subspace clamp into `[p, n − 1]` and the
 //!   largest-component fallback — and [`Run::retry`] applies rule 4, the
 //!   re-pivot loop. [`Run`] also installs the backend and starts every
-//!   attempt's [`HdeStats`] from the same header.
+//!   attempt's [`HdeStats`] from the same header. Each degradation goes
+//!   straight into the call's run record, so no step carries warnings.
 //! * [`pipeline_from_s`] is the post-BFS tail of the Laplacian pipelines:
 //!   DOrtho, [`triple_prod`], [`eigensolve`] and [`project`]. The coupled
 //!   and prior-work ablations call the steps they share directly.
 
 use crate::config::{install_backend, LinalgBackend, LinalgMode, OrthoMethod, ParHdeConfig};
 use crate::error::{reseed, scatter_coords, trivial_coords, HdeError, Warning};
-use crate::stats::{phase, trace_warning, HdeStats, PhaseSpan};
+use crate::stats::{begin, phase, warn, HdeStats};
 use crate::supervise::budget_check;
 use parhde_graph::store::GraphStore;
 use parhde_graph::{prep, CsrGraph, WeightedCsr};
@@ -84,19 +85,17 @@ pub(crate) fn prepare<H>(
         return Err(HdeError::InvalidConfig("embedding dimension must be at least 1".into()));
     }
     let s_requested = *subspace;
-    let mut warnings = Vec::new();
     if mode == Mode::FailSoft {
         // A layout needs s ≥ p surviving directions and s ≤ n − 1, i.e.
         // n ≥ p + 1. Anything smaller gets the line layout.
         if n <= p {
-            let mut stats = HdeStats { s_requested, ..HdeStats::default() };
-            stats.warn(Warning::TrivialLayout { n });
+            warn(Warning::TrivialLayout { n });
+            let stats = HdeStats { s_requested, ..HdeStats::default() };
             return Ok(Prepared::Trivial(Box::new((trivial_coords(n, p), stats))));
         }
         let clamped = s_requested.clamp(p, n - 1);
         if clamped != s_requested {
-            let clamp = Warning::SubspaceClamped { requested: s_requested, clamped };
-            warnings.push(trace_warning(clamp));
+            warn(Warning::SubspaceClamped { requested: s_requested, clamped });
             *subspace = clamped;
         }
         // Disconnected input: lay out the largest component (paper §4.1)
@@ -105,12 +104,11 @@ pub(crate) fn prepare<H>(
             let components = prep::connected_components(csr).count();
             let (part, old_ids) = largest(csr);
             let kept = old_ids.len();
-            let fallback = Warning::DisconnectedFallback { components, kept, n };
-            warnings.push(trace_warning(fallback));
-            return Ok(Prepared::Component(part, Fallback { n, old_ids, warnings }));
+            warn(Warning::DisconnectedFallback { components, kept, n });
+            return Ok(Prepared::Component(part, Fallback { n, old_ids }));
         }
     }
-    Ok(Prepared::Run(Run { s_requested, warnings }))
+    Ok(Prepared::Run(Run { s_requested }))
 }
 
 /// `largest` for plain graphs: [`prep::largest_component`].
@@ -123,28 +121,23 @@ pub(crate) fn largest_component(csr: &CsrGraph) -> (CsrGraph, Vec<u32>) {
 pub(crate) struct Fallback {
     n: usize,
     old_ids: Vec<u32>,
-    warnings: Vec<Warning>,
 }
 
 impl Fallback {
     /// Scatters the component's layout back over all `n` input vertices,
-    /// the rest at its centroid, and puts the policy's warnings before the
-    /// component run's own.
+    /// the rest at its centroid.
     pub(crate) fn scatter(
         self,
-        (sub, mut stats): (ColMajorMatrix, HdeStats),
+        (sub, stats): (ColMajorMatrix, HdeStats),
     ) -> (ColMajorMatrix, HdeStats) {
-        let coords = scatter_coords(self.n, &sub, &self.old_ids);
-        stats.warnings.splice(0..0, self.warnings);
-        (coords, stats)
+        (scatter_coords(self.n, &sub, &self.old_ids), stats)
     }
 }
 
-/// A run the policy let through: its warnings so far and the requested
-/// subspace dimension for the stats header.
+/// A run the policy let through, with the requested subspace dimension
+/// for the stats header.
 pub(crate) struct Run {
     s_requested: usize,
-    warnings: Vec<Warning>,
 }
 
 impl Run {
@@ -165,13 +158,14 @@ impl Run {
     /// Installs `backend`, then runs `attempt(seed, stats)` on a fresh stats
     /// header. Rule 4: in fail-soft mode a degenerate subspace is retried
     /// up to [`MAX_REPIVOT_RETRIES`] times with a reseeded RNG, each retry
-    /// recorded as a warning.
+    /// recorded as a warning after the abandoned attempt's own phases and
+    /// warnings.
     ///
     /// # Errors
     /// [`HdeError::DegenerateSubspace`] once the retries are exhausted, or
     /// any other error of an attempt.
     pub(crate) fn retry<T>(
-        mut self,
+        self,
         mode: Mode,
         backend: LinalgBackend,
         seed: u64,
@@ -191,11 +185,7 @@ impl Run {
             };
             let seed = if i == 0 { seed } else { reseed(seed, i) };
             match attempt(seed, &mut stats) {
-                Ok(out) => {
-                    // The policy's warnings, then the attempt's own.
-                    stats.warnings.splice(0..0, self.warnings);
-                    return Ok((out, stats));
-                }
+                Ok(out) => return Ok((out, stats)),
                 Err(HdeError::DegenerateSubspace { kept, needed, subspace, .. }) => {
                     if i + 1 == attempts {
                         return Err(HdeError::DegenerateSubspace {
@@ -205,8 +195,7 @@ impl Run {
                             retries: i,
                         });
                     }
-                    let retry = Warning::RepivotRetry { attempt: i + 1, kept, needed };
-                    self.warnings.push(trace_warning(retry));
+                    warn(Warning::RepivotRetry { attempt: i + 1, kept, needed });
                 }
                 Err(e) => return Err(e),
             }
@@ -258,10 +247,11 @@ impl Laplacian for Similarities<'_> {
 
 /// The deterministic post-BFS tail: DOrtho → TripleProd → eigensolve →
 /// projection, given `smat` with the distance matrix `B` in columns
-/// `1..=s` (column 0 is set here) and, for the `project_from_raw` ablation
-/// only, `raw = B`. A live run and a checkpoint resume both end here, so
-/// they execute the same floating-point operations in the same order,
-/// which is what makes resume bit-identical.
+/// `1..=s` (column 0 is set here). DOrtho rewrites `S` in place, so the
+/// `project_from_raw` ablation copies `B` out first. A live run and a
+/// checkpoint resume both end here, so they execute the same
+/// floating-point operations in the same order, which is what makes
+/// resume bit-identical.
 ///
 /// # Errors
 /// [`HdeError::DegenerateSubspace`] when fewer than `p` directions survive
@@ -271,20 +261,22 @@ pub(crate) fn pipeline_from_s(
     cfg: &ParHdeConfig,
     p: usize,
     mut smat: ColMajorMatrix,
-    raw: Option<&ColMajorMatrix>,
     stats: &mut HdeStats,
 ) -> Result<ColMajorMatrix, HdeError> {
     let n = smat.rows();
     let s = cfg.subspace;
 
     // ---- Finish S = [1/√n | B] ------------------------------------------
-    let ph = PhaseSpan::begin(phase::INIT);
+    let ph = begin(phase::INIT);
+    let raw = cfg
+        .project_from_raw
+        .then(|| ColMajorMatrix::from_data(n, s, smat.data()[n..].to_vec()));
     smat.col_mut(0).fill(1.0 / (n as f64).sqrt());
     let degrees = lap.degrees();
-    ph.end(&mut stats.phases);
+    drop(ph);
 
     // ---- DOrtho phase ---------------------------------------------------
-    let ph = PhaseSpan::begin(phase::DORTHO);
+    let ph = begin(phase::DORTHO);
     let weights = cfg.d_orthogonalize.then_some(degrees.as_slice());
     let outcome = match cfg.ortho {
         OrthoMethod::Mgs => try_mgs(&mut smat, weights, cfg.drop_tolerance, "dortho")?,
@@ -299,7 +291,7 @@ pub(crate) fn pipeline_from_s(
     smat.retain_columns(&survivors);
     stats.dropped_columns = outcome.dropped.len();
     stats.s_kept = smat.cols();
-    ph.end(&mut stats.phases);
+    drop(ph);
     // Budget check BEFORE the degenerate-subspace check: a tripped ortho
     // kernel abandons its remaining columns, and the trip must win over the
     // spurious degeneracy that abandonment creates.
@@ -315,7 +307,7 @@ pub(crate) fn pipeline_from_s(
 
     let z = triple_prod(lap, &degrees, &smat, cfg.linalg_mode, stats)?;
     let y = eigensolve(&smat, &z, weights, p, stats)?;
-    match raw {
+    match &raw {
         Some(b) => {
             // [x, y] = B·Y (the literal Algorithm 3 line 20): map each kept
             // S column back to the raw distance column it originated from.
@@ -325,9 +317,9 @@ pub(crate) fn pipeline_from_s(
             for (dst, &src) in outcome.kept[1..].iter().enumerate() {
                 b_kept.col_mut(dst).copy_from_slice(b.col(src - 1));
             }
-            project(&b_kept, &y, stats)
+            project(&b_kept, &y)
         }
-        None => project(&smat, &y, stats),
+        None => project(&smat, &y),
     }
 }
 
@@ -347,26 +339,24 @@ pub(crate) fn triple_prod(
     stats.linalg_mode = Some(mode.label());
     match mode {
         LinalgMode::Fused => {
-            let ph = PhaseSpan::begin(phase::FUSED);
+            let _ph = begin(phase::FUSED);
             let z = lap.triple_product(degrees, smat)?;
             // Budget check before use: a tripped fused kernel returns
             // zeroed partials, which are finite but meaningless.
             budget_check(phase::FUSED)?;
-            ph.end(&mut stats.phases);
             Ok(z)
         }
         LinalgMode::Staged => {
-            let ph = PhaseSpan::begin(phase::LS);
+            let ph = begin(phase::LS);
             let prod = lap.spmm(degrees, smat)?;
-            ph.end(&mut stats.phases);
+            drop(ph);
             budget_check(phase::LS)?;
-            let ph = PhaseSpan::begin(phase::GEMM);
+            let _ph = begin(phase::GEMM);
             let z = at_b(smat, &prod);
             // Budget check before the finiteness check: a tripped gemm
             // returns zeroed blocks, which are finite but meaningless.
             budget_check(phase::GEMM)?;
             check_matrix_finite(&z, "gemm")?;
-            ph.end(&mut stats.phases);
             Ok(z)
         }
     }
@@ -397,7 +387,7 @@ pub(crate) fn eigensolve(
     p: usize,
     stats: &mut HdeStats,
 ) -> Result<ColMajorMatrix, HdeError> {
-    let ph = PhaseSpan::begin(phase::EIGEN);
+    let ph = begin(phase::EIGEN);
     let k = smat.cols();
     if p < 1 || p > k {
         return Err(HdeError::InvalidConfig(format!("need 1 ≤ p ≤ {k} axes, got {p}")));
@@ -437,7 +427,7 @@ pub(crate) fn eigensolve(
         }
     }
     stats.axis_eigenvalues = mus;
-    ph.end(&mut stats.phases);
+    drop(ph);
     budget_check(phase::EIGEN)?;
     Ok(y)
 }
@@ -449,12 +439,10 @@ pub(crate) fn eigensolve(
 pub(crate) fn project(
     basis: &ColMajorMatrix,
     y: &ColMajorMatrix,
-    stats: &mut HdeStats,
 ) -> Result<ColMajorMatrix, HdeError> {
-    let ph = PhaseSpan::begin(phase::PROJECT);
+    let _ph = begin(phase::PROJECT);
     let coords = a_small(basis, y);
     budget_check(phase::PROJECT)?;
     check_matrix_finite(&coords, "project")?;
-    ph.end(&mut stats.phases);
     Ok(coords)
 }

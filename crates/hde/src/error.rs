@@ -296,6 +296,10 @@ pub enum Warning {
         /// NaN entries observed.
         count: usize,
     },
+    /// Batched BFS was requested with k-centers pivots, which are
+    /// sequentially dependent; each traversal ran direction-optimizing
+    /// instead.
+    BatchedBfsUnavailable,
 }
 
 impl std::fmt::Display for Warning {
@@ -339,6 +343,11 @@ impl std::fmt::Display for Warning {
                 f,
                 "{count} NaN entries in pivot distances were excluded from \
                  farthest-vertex selection (poisoned weighted input?)"
+            ),
+            Self::BatchedBfsUnavailable => write!(
+                f,
+                "k-centers pivots are sequentially dependent; batched BFS \
+                 unavailable, using direction-optimizing BFS"
             ),
         }
     }

@@ -65,6 +65,16 @@
 //! [`HdeStats::warnings`]. See DESIGN.md's "Error handling & degradation
 //! contract" for the full policy.
 //!
+//! # Run records
+//!
+//! Every pipeline call records its phases, work counters, gauges and
+//! warnings once, into its own run record nested in the caller's
+//! ([`parhde_trace::Record`]), and reads them back into its
+//! [`HdeStats`]; a degraded call's stats therefore include its abandoned
+//! attempts. [`stats::render_report`] renders run report v1 from a record,
+//! and [`stats::phase::ALL`] is the phase vocabulary every view shares.
+//! See DESIGN.md §9.
+//!
 //! # Supervised runs
 //!
 //! [`try_par_hde_nd_supervised`] runs the pipeline under a

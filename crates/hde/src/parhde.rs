@@ -20,7 +20,7 @@ use crate::config::ParHdeConfig;
 use crate::driver::{self, largest_component, pipeline_from_s, strict, Mode, Prepared};
 use crate::error::HdeError;
 use crate::layout::Layout;
-use crate::stats::{phase, HdeStats, PhaseSpan};
+use crate::stats::{begin, phase, recorded, HdeStats};
 use crate::supervise::budget_check;
 use parhde_graph::store::GraphStore;
 use parhde_linalg::dense::ColMajorMatrix;
@@ -54,7 +54,7 @@ pub fn par_hde_nd<G: GraphStore>(
     p: usize,
 ) -> (ColMajorMatrix, HdeStats) {
     assert!(p >= 1, "embedding dimension must be at least 1");
-    strict(run_nd(g, cfg, p, Mode::Strict, Source::Bfs(None)))
+    strict(recorded(|| run_nd(g, cfg, p, Mode::Strict, Source::Bfs(None))))
 }
 
 /// Fail-soft ParHDE: like [`par_hde`] but never panics on untrusted input.
@@ -88,7 +88,7 @@ pub fn try_par_hde_nd<G: GraphStore>(
     cfg: &ParHdeConfig,
     p: usize,
 ) -> Result<(ColMajorMatrix, HdeStats), HdeError> {
-    run_nd(g, cfg, p, Mode::FailSoft, Source::Bfs(None))
+    recorded(|| run_nd(g, cfg, p, Mode::FailSoft, Source::Bfs(None)))
 }
 
 /// [`try_par_hde_nd`] that additionally writes a post-BFS checkpoint of
@@ -106,7 +106,7 @@ pub fn try_par_hde_nd_checkpointed<G: GraphStore>(
     p: usize,
     spec: &CheckpointSpec,
 ) -> Result<(ColMajorMatrix, HdeStats), HdeError> {
-    run_nd(g, cfg, p, Mode::FailSoft, Source::Bfs(Some(spec)))
+    recorded(|| run_nd(g, cfg, p, Mode::FailSoft, Source::Bfs(Some(spec))))
 }
 
 /// Resumes a run from a post-BFS [`Checkpoint`]: replays the deterministic
@@ -132,7 +132,7 @@ pub fn try_par_hde_resume<G: GraphStore>(
     p: usize,
     ckpt: &Checkpoint,
 ) -> Result<(ColMajorMatrix, HdeStats), HdeError> {
-    run_nd(g, cfg, p, Mode::FailSoft, Source::Checkpoint(ckpt))
+    recorded(|| run_nd(g, cfg, p, Mode::FailSoft, Source::Checkpoint(ckpt)))
 }
 
 /// Where a run's distance matrix `B` comes from.
@@ -147,7 +147,8 @@ pub(crate) enum Source<'a> {
 
 /// The ParHDE driver behind every entry point (and the supervised ladder):
 /// the shared fail-soft policy, then one pipeline attempt per seed of the
-/// re-pivot loop, or a single resumed attempt.
+/// re-pivot loop, or a single resumed attempt. Each entry point runs it in
+/// the call's own run record.
 pub(crate) fn run_nd<G: GraphStore>(
     g: &G,
     cfg: &ParHdeConfig,
@@ -178,15 +179,12 @@ pub(crate) fn run_nd<G: GraphStore>(
                 parhde_trace::counter!("supervisor.checkpoint.resume", 1);
                 stats.sources = ckpt.sources.clone();
                 stats.bfs_mode = Some("resumed");
-                // S = [1/√n | B]: B is copied out of the checkpoint once;
-                // the checkpoint itself stays the raw columns of the
-                // project_from_raw ablation.
-                let ph = PhaseSpan::begin(phase::INIT);
+                // S = [1/√n | B], with B copied out of the checkpoint.
+                let ph = begin(phase::INIT);
                 let mut smat = ColMajorMatrix::zeros(n, cfg.subspace + 1);
                 smat.data_mut()[n..].copy_from_slice(ckpt.b.data());
-                ph.end(&mut stats.phases);
-                let raw = cfg.project_from_raw.then_some(&ckpt.b);
-                pipeline_from_s(g, &cfg, p, smat, raw, stats)
+                drop(ph);
+                pipeline_from_s(g, &cfg, p, smat, stats)
             })
         }
     }
@@ -207,11 +205,11 @@ fn pipeline_once<G: GraphStore>(
 
     // ---- Init -----------------------------------------------------------
     budget_check(phase::INIT)?;
-    let ph = PhaseSpan::begin(phase::INIT);
+    let ph = begin(phase::INIT);
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     // S = [1/√n | B]; B is never a matrix of its own.
     let mut smat = ColMajorMatrix::zeros(n, s + 1);
-    ph.end(&mut stats.phases);
+    drop(ph);
 
     // ---- BFS phase: B straight into columns 1..=s of S -----------------
     let b = &mut smat.data_mut()[n..];
@@ -219,27 +217,11 @@ fn pipeline_once<G: GraphStore>(
 
     // ---- Checkpoint (post-BFS: everything after is deterministic in B) --
     if let Some(spec) = ckpt {
-        let ph = PhaseSpan::begin(phase::CHECKPOINT);
+        let _ph = begin(phase::CHECKPOINT);
         checkpoint::write_post_bfs(spec, g, cfg, p, seed, &stats.sources, &smat.data()[n..])?;
-        ph.end(&mut stats.phases);
     }
 
-    // DOrtho rewrites S in place, so the raw-basis projection ablation
-    // needs its own copy of B.
-    let raw = cfg
-        .project_from_raw
-        .then(|| ColMajorMatrix::from_data(n, s, smat.data()[n..].to_vec()));
-    pipeline_from_s(g, cfg, p, smat, raw.as_ref(), stats)
-}
-
-pub(crate) fn accumulate(
-    total: &mut parhde_bfs::TraversalStats,
-    one: parhde_bfs::TraversalStats,
-) {
-    total.top_down_steps += one.top_down_steps;
-    total.bottom_up_steps += one.bottom_up_steps;
-    total.top_down_edges += one.top_down_edges;
-    total.bottom_up_edges += one.bottom_up_edges;
+    pipeline_from_s(g, cfg, p, smat, stats)
 }
 
 pub(crate) fn assert_connected(reached: usize, n: usize) {
@@ -343,9 +325,13 @@ mod tests {
         let g = pref_attach(2000, 4, 9);
         let (layout, stats) = par_hde(&g, &ParHdeConfig::default());
         assert_eq!(layout.len(), 2000);
-        // Direction optimization must have engaged on this graph.
-        assert!(stats.traversal.bottom_up_steps > 0);
-        assert!(stats.traversal.gamma(g.num_arcs() * 10) < 1.0);
+        // Direction optimization must have engaged on this graph, and the
+        // bottom-up levels must have scanned fewer arcs than ten top-down
+        // sweeps over the whole graph would.
+        assert!(stats.counter("bfs.switch_to_bottom_up") > Some(0), "{:?}", stats.counters);
+        let scanned = stats.counter("bfs.top_down_edges").unwrap_or(0)
+            + stats.counter("bfs.bottom_up_edges").unwrap_or(0);
+        assert!(scanned < (g.num_arcs() * 10) as u64, "{scanned} arcs scanned");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::config::{BfsMode, LinalgMode, ParHdeConfig, PivotStrategy};
 use crate::driver::{self, largest_component, project, strict, Mode, Prepared};
 use crate::error::HdeError;
 use crate::layout::Layout;
-use crate::stats::{phase, HdeStats, PhaseSpan};
+use crate::stats::{begin, phase, recorded, HdeStats};
 use crate::supervise::budget_check;
 use parhde_graph::CsrGraph;
 use parhde_linalg::center::column_center;
@@ -105,7 +105,7 @@ pub(crate) const PHDE: Pca = Pca {
 /// Panics if the graph is disconnected or the configuration is invalid.
 /// Use [`try_phde`] for a non-panicking, gracefully degrading variant.
 pub fn phde(g: &CsrGraph, cfg: &PhdeConfig) -> (Layout, HdeStats) {
-    let (coords, stats) = strict(run_pca(g, cfg, &PHDE, Mode::Strict));
+    let (coords, stats) = strict(recorded(|| run_pca(g, cfg, &PHDE, Mode::Strict)));
     (Layout::from_coords(&coords), stats)
 }
 
@@ -119,13 +119,14 @@ pub fn phde(g: &CsrGraph, cfg: &PhdeConfig) -> (Layout, HdeStats) {
 /// [`HdeError::InvalidConfig`] for unusable parameters and
 /// [`HdeError::NonFiniteValue`] if a numeric phase produces NaN/∞.
 pub fn try_phde(g: &CsrGraph, cfg: &PhdeConfig) -> Result<(Layout, HdeStats), HdeError> {
-    let (coords, stats) = run_pca(g, cfg, &PHDE, Mode::FailSoft)?;
+    let (coords, stats) = recorded(|| run_pca(g, cfg, &PHDE, Mode::FailSoft))?;
     Ok((Layout::from_coords(&coords), stats))
 }
 
 /// The PCA driver of PHDE and PivotMDS: the shared fail-soft policy, the
 /// BFS phase, `pca`'s centering, the covariance `CᵀC`, its top two
-/// eigenvectors and the projection `[x, y] = C·Y`.
+/// eigenvectors and the projection `[x, y] = C·Y`. Each entry point runs
+/// it in the call's own run record.
 ///
 /// # Errors
 /// [`HdeError::InvalidConfig`] for unusable parameters, a budget trip, or
@@ -162,32 +163,32 @@ pub(crate) fn run_pca(
         let mut c = ColMajorMatrix::zeros(n, cfg.subspace);
         run_bfs_phase(g, c.data_mut(), cfg.pivots, cfg.bfs_mode, &mut rng, true, stats)?;
 
-        let ph = PhaseSpan::begin(pca.phase);
+        let ph = begin(pca.phase);
         (pca.center)(&mut c);
-        ph.end(&mut stats.phases);
+        drop(ph);
         budget_check(pca.phase)?;
 
         // MatMul: the small covariance CᵀC — SYRK computes only the lower
         // triangle and mirrors it, bitwise identical to `at_b(c, c)`.
         stats.linalg_mode = Some(cfg.linalg_mode.label());
-        let ph = PhaseSpan::begin(phase::GEMM);
+        let ph = begin(phase::GEMM);
         let z = match cfg.linalg_mode {
             LinalgMode::Fused => parhde_linalg::syrk::at_a(&c),
             LinalgMode::Staged => at_b(&c, &c),
         };
-        ph.end(&mut stats.phases);
+        drop(ph);
         // A tripped gemm returns zeroed (finite but meaningless) blocks.
         budget_check(phase::GEMM)?;
 
         // Eigensolve: top two eigenvectors of CᵀC (PCA axes).
-        let ph = PhaseSpan::begin(phase::EIGEN);
+        let ph = begin(phase::EIGEN);
         let (vals, y) = try_symmetric_eigen(&z)?.top(2);
         stats.axis_eigenvalues = vals;
         stats.s_kept = c.cols();
-        ph.end(&mut stats.phases);
+        drop(ph);
         budget_check(phase::EIGEN)?;
 
-        project(&c, &y, stats)
+        project(&c, &y)
     })
 }
 

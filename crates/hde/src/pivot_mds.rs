@@ -13,7 +13,7 @@ use crate::driver::{strict, Mode};
 use crate::error::HdeError;
 use crate::layout::Layout;
 use crate::phde::{run_pca, Pca, PhdeConfig};
-use crate::stats::{phase, HdeStats};
+use crate::stats::{phase, recorded, HdeStats};
 use parhde_graph::CsrGraph;
 use parhde_linalg::center::{double_center_squared, square_entries};
 
@@ -34,7 +34,7 @@ const PIVOT_MDS: Pca = Pca {
 /// Panics if the graph is disconnected or the configuration is invalid.
 /// Use [`try_pivot_mds`] for a non-panicking, gracefully degrading variant.
 pub fn pivot_mds(g: &CsrGraph, cfg: &PhdeConfig) -> (Layout, HdeStats) {
-    let (coords, stats) = strict(run_pca(g, cfg, &PIVOT_MDS, Mode::Strict));
+    let (coords, stats) = strict(recorded(|| run_pca(g, cfg, &PIVOT_MDS, Mode::Strict)));
     (Layout::from_coords(&coords), stats)
 }
 
@@ -50,7 +50,7 @@ pub fn try_pivot_mds(
     g: &CsrGraph,
     cfg: &PhdeConfig,
 ) -> Result<(Layout, HdeStats), HdeError> {
-    let (coords, stats) = run_pca(g, cfg, &PIVOT_MDS, Mode::FailSoft)?;
+    let (coords, stats) = recorded(|| run_pca(g, cfg, &PIVOT_MDS, Mode::FailSoft))?;
     Ok((Layout::from_coords(&coords), stats))
 }
 

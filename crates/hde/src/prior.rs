@@ -19,7 +19,7 @@ use crate::bfs_phase::run_bfs_phase;
 use crate::config::ParHdeConfig;
 use crate::driver::{eigensolve, project, strict};
 use crate::layout::Layout;
-use crate::stats::{phase, HdeStats, PhaseSpan};
+use crate::stats::{begin, phase, recorded, HdeStats};
 use parhde_graph::CsrGraph;
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_linalg::gemm::at_b;
@@ -32,6 +32,10 @@ use parhde_util::Xoshiro256StarStar;
 /// # Panics
 /// Panics under the same conditions as [`crate::par_hde`].
 pub fn prior_hde(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
+    recorded(|| prior(g, cfg))
+}
+
+fn prior(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
     let n = g.num_vertices();
     strict(cfg.validate(n));
     let s = cfg.subspace;
@@ -47,14 +51,14 @@ pub fn prior_hde(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
     strict(run_bfs_phase(g, b, cfg.pivots, cfg.bfs_mode, &mut rng, false, &mut stats));
 
     // Finish S and materialize the Laplacian the way the prior code does.
-    let ph = PhaseSpan::begin(phase::INIT);
+    let ph = begin(phase::INIT);
     smat.col_mut(0).fill(1.0 / (n as f64).sqrt());
     let degrees = g.degree_vector();
     let laplacian = ExplicitLaplacian::build(g);
-    ph.end(&mut stats.phases);
+    drop(ph);
 
     // D-orthogonalization (MGS, as in the prior code).
-    let ph = PhaseSpan::begin(phase::DORTHO);
+    let ph = begin(phase::DORTHO);
     let weights = cfg.d_orthogonalize.then_some(degrees.as_slice());
     let outcome = mgs(&mut smat, weights, cfg.drop_tolerance);
     debug_assert_eq!(outcome.kept.first(), Some(&0));
@@ -62,24 +66,24 @@ pub fn prior_hde(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
     smat.retain_columns(&survivors);
     stats.dropped_columns = outcome.dropped.len();
     stats.s_kept = smat.cols();
-    ph.end(&mut stats.phases);
+    drop(ph);
     // Trip wins over the spurious degeneracy an abandoned ortho creates.
     crate::supervise::budget_check_strict(phase::DORTHO);
     assert!(smat.cols() >= 2, "fewer than two directions survived");
 
     // TripleProd through the explicit Laplacian.
-    let ph = PhaseSpan::begin(phase::LS);
+    let ph = begin(phase::LS);
     let p = laplacian.spmm(&smat);
-    ph.end(&mut stats.phases);
+    drop(ph);
     crate::supervise::budget_check_strict(phase::LS);
-    let ph = PhaseSpan::begin(phase::GEMM);
+    let ph = begin(phase::GEMM);
     let z = at_b(&smat, &p);
-    ph.end(&mut stats.phases);
+    drop(ph);
     crate::supervise::budget_check_strict(phase::GEMM);
 
     // Eigensolve + projection, ParHDE's own steps.
     let y = strict(eigensolve(&smat, &z, weights, 2, &mut stats));
-    let coords = strict(project(&smat, &y, &mut stats));
+    let coords = strict(project(&smat, &y));
     (Layout::from_coords(&coords), stats)
 }
 
@@ -111,7 +115,8 @@ mod tests {
     fn prior_reports_no_direction_opt_stats() {
         let g = grid2d(10, 10);
         let (_, stats) = prior_hde(&g, &ParHdeConfig::default());
-        // Sequential BFS records no traversal statistics.
-        assert_eq!(stats.traversal.total_edges(), 0);
+        // Sequential BFS records no traversal counters.
+        assert!(stats.counters.iter().all(|(n, _)| !n.starts_with("bfs.")), "{:?}", stats.counters);
+        assert!(stats.counter("dortho.kept_columns").is_some(), "{:?}", stats.counters);
     }
 }

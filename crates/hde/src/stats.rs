@@ -1,113 +1,113 @@
-//! Per-run statistics and phase breakdowns.
+//! Per-run statistics, the phase vocabulary and the run report.
 //!
 //! Figures 3, 5 and 6 of the paper are percentage breakdowns over four
 //! canonical buckets — BFS, TripleProd, DOrtho, Other — with Figure 5
 //! additionally splitting BFS into traversal vs. overhead and TripleProd
-//! into `LS` vs. `Sᵀ(LS)`. [`HdeStats`] records the fine-grained phases and
-//! [`HdeStats::grouped`] folds them into the canonical buckets.
+//! into `LS` vs. `Sᵀ(LS)`. The pipelines time their fine-grained phases
+//! with [`begin`] guards into the thread's run record
+//! ([`parhde_trace::Record`]); every pipeline call opens its own record
+//! ([`recorded`]) and reads [`HdeStats::phases`], counters, gauges and
+//! warnings back from it, and [`HdeStats::grouped`] folds the phases into
+//! the canonical buckets. [`render_report`] renders run report v1 from a
+//! record for both binaries.
 
-use parhde_bfs::TraversalStats;
-use parhde_trace::PhaseAccumulator;
-use parhde_util::Timer;
+use crate::error::Warning;
+use parhde_trace::{PhaseAccumulator, RunReport, Totals};
 
-/// Fine-grained phase names recorded by the pipelines.
+/// The phase vocabulary: every name a pipeline records a phase under.
 pub mod phase {
-    /// BFS/SSSP traversal proper.
-    pub const BFS: &str = "bfs";
-    /// Source-selection overhead (min-distance update + farthest argmax).
-    pub const BFS_OTHER: &str = "bfs_other";
-    /// Gram-Schmidt (D-)orthogonalization.
-    pub const DORTHO: &str = "dortho";
-    /// The `P = L·S` implicit SpMM.
-    pub const LS: &str = "ls";
-    /// The `Z = Sᵀ·P` dense product ("dgemm" in the paper).
-    pub const GEMM: &str = "gemm";
-    /// The fused one-pass TripleProd `Z = Sᵀ·L·S` (replaces `ls` + `gemm`
-    /// under `--linalg-mode fused`).
-    pub const FUSED: &str = "fused_triple";
-    /// Column centering (PHDE).
-    pub const COL_CENTER: &str = "col_center";
-    /// Double centering (PivotMDS).
-    pub const DBL_CENTER: &str = "dbl_center";
-    /// The small eigensolve.
-    pub const EIGEN: &str = "eigensolve";
-    /// Final projection to coordinates.
-    pub const PROJECT: &str = "project";
-    /// Initialization (allocation, seeding).
-    pub const INIT: &str = "init";
-    /// Post-BFS checkpoint serialization.
-    pub const CHECKPOINT: &str = "checkpoint";
-}
+    /// Writes each phase once: its constant and its [`ALL`] entry.
+    macro_rules! vocabulary {
+        ($($(#[$doc:meta])* $konst:ident = $name:literal in $bucket:literal;)*) => {
+            $($(#[$doc])* pub const $konst: &str = $name;)*
 
-/// Mirrors `w` into the active trace session as a structured warning event
-/// (no-op when tracing is disabled), then hands it back for storage.
-pub(crate) fn trace_warning(w: crate::Warning) -> crate::Warning {
-    if parhde_trace::enabled() {
-        parhde_trace::warning(&w.to_string());
-    }
-    w
-}
-
-/// A phase measurement that is simultaneously a wall-clock timer (feeding
-/// [`HdeStats::phases`]) and a hierarchical trace span (feeding an active
-/// `parhde_trace::TraceSession`, if any). The pipelines wrap every stage in
-/// one of these so the printed breakdown and the exported trace are two
-/// views of the *same* intervals and can never disagree.
-#[must_use = "a PhaseSpan measures nothing unless ended"]
-pub struct PhaseSpan {
-    name: &'static str,
-    timer: Timer,
-    guard: parhde_trace::SpanGuard,
-    /// Peak RSS (VmHWM) at phase entry; `None` when tracing is off or the
-    /// proc pseudo-file is unavailable.
-    rss_begin: Option<u64>,
-}
-
-impl PhaseSpan {
-    /// Starts timing phase `name` and opens the matching trace span. When a
-    /// trace session is active, also samples the process's peak RSS so the
-    /// phase's high-water-mark growth can be reported.
-    pub fn begin(name: &'static str) -> Self {
-        let rss_begin = if parhde_trace::enabled() {
-            parhde_trace::peak_rss_bytes()
-        } else {
-            None
+            /// Every phase, in vocabulary order: its name, the Figure-3
+            /// bucket it folds into (`BFS`, `TripleProd`, `DOrtho` or
+            /// `Other`) and the counter a traced run records its peak-RSS
+            /// growth in.
+            pub const ALL: &[(&str, &str, &str)] =
+                &[$(($name, $bucket, concat!("process.peak_rss_delta.", $name))),*];
         };
-        Self { name, timer: Timer::start(), guard: parhde_trace::span(name), rss_begin }
     }
 
-    /// Closes the span and accumulates the elapsed time under the phase
-    /// name. With tracing active, emits the phase's peak-RSS growth as the
-    /// counter `process.peak_rss_delta.<phase>` (0 for phases that ran
-    /// inside already-reserved memory) — the per-phase view of the fused
-    /// path's memory win.
-    pub fn end(self, phases: &mut PhaseAccumulator) {
-        if let (Some(b), Some(e)) = (self.rss_begin, parhde_trace::peak_rss_bytes()) {
-            parhde_trace::counter!(rss_counter(self.name), e.saturating_sub(b));
-        }
-        drop(self.guard);
-        phases.add(self.name, self.timer.elapsed());
+    vocabulary! {
+        /// BFS/SSSP traversal proper.
+        BFS = "bfs" in "BFS";
+        /// Source-selection overhead (min-distance update + farthest argmax).
+        BFS_OTHER = "bfs_other" in "BFS";
+        /// Gram-Schmidt (D-)orthogonalization.
+        DORTHO = "dortho" in "DOrtho";
+        /// The `P = L·S` implicit SpMM.
+        LS = "ls" in "TripleProd";
+        /// The `Z = Sᵀ·P` dense product ("dgemm" in the paper).
+        GEMM = "gemm" in "TripleProd";
+        /// The fused one-pass TripleProd `Z = Sᵀ·L·S` (replaces `ls` +
+        /// `gemm` under `--linalg-mode fused`).
+        FUSED = "fused_triple" in "TripleProd";
+        /// Column centering (PHDE).
+        COL_CENTER = "col_center" in "TripleProd";
+        /// Double centering (PivotMDS).
+        DBL_CENTER = "dbl_center" in "TripleProd";
+        /// The small eigensolve.
+        EIGEN = "eigensolve" in "Other";
+        /// Final projection to coordinates.
+        PROJECT = "project" in "Other";
+        /// Initialization (allocation, seeding).
+        INIT = "init" in "Other";
+        /// Post-BFS checkpoint serialization.
+        CHECKPOINT = "checkpoint" in "Other";
+    }
+
+    /// The [`ALL`] entry of phase `name`.
+    pub fn lookup(name: &str) -> Option<&'static (&'static str, &'static str, &'static str)> {
+        ALL.iter().find(|(n, _, _)| *n == name)
     }
 }
 
-/// Maps a phase name to its `process.peak_rss_delta.*` counter (counter
-/// names must be `&'static str`, hence the static table).
-fn rss_counter(name: &str) -> &'static str {
-    match name {
-        "bfs" => "process.peak_rss_delta.bfs",
-        "bfs_other" => "process.peak_rss_delta.bfs_other",
-        "dortho" => "process.peak_rss_delta.dortho",
-        "ls" => "process.peak_rss_delta.ls",
-        "gemm" => "process.peak_rss_delta.gemm",
-        "fused_triple" => "process.peak_rss_delta.fused_triple",
-        "col_center" => "process.peak_rss_delta.col_center",
-        "dbl_center" => "process.peak_rss_delta.dbl_center",
-        "eigensolve" => "process.peak_rss_delta.eigensolve",
-        "project" => "process.peak_rss_delta.project",
-        "init" => "process.peak_rss_delta.init",
-        "checkpoint" => "process.peak_rss_delta.checkpoint",
-        _ => "process.peak_rss_delta.other",
+/// Starts phase `name` of the [`phase`] vocabulary in the thread's record;
+/// the guard adds the phase's wall time when dropped.
+pub(crate) fn begin(name: &'static str) -> parhde_trace::PhaseGuard {
+    let entry = phase::lookup(name);
+    debug_assert!(entry.is_some(), "phase {name} is outside the vocabulary");
+    parhde_trace::phase(name, entry.map_or("process.peak_rss_delta.other", |e| e.2))
+}
+
+/// Records a degradation in the thread's record, where the call's
+/// [`HdeStats::warnings`] and every report read it back.
+pub(crate) fn warn(w: Warning) {
+    parhde_trace::warning(w);
+}
+
+/// A pipeline result that carries the [`HdeStats`] of its call.
+pub(crate) trait Recorded {
+    /// The call's stats, if it produced any.
+    fn stats_mut(&mut self) -> Option<&mut HdeStats>;
+}
+
+impl<T> Recorded for (T, HdeStats) {
+    fn stats_mut(&mut self) -> Option<&mut HdeStats> {
+        Some(&mut self.1)
     }
+}
+
+impl<T: Recorded, E> Recorded for Result<T, E> {
+    fn stats_mut(&mut self) -> Option<&mut HdeStats> {
+        self.as_mut().ok().and_then(Recorded::stats_mut)
+    }
+}
+
+/// Runs one pipeline call in its own record, nested in the thread's
+/// current one, and reads the call's phases, counters, gauges and warnings
+/// back into its stats. Closing the record adds its totals to the
+/// enclosing record, also when the call fails.
+pub(crate) fn recorded<T: Recorded>(call: impl FnOnce() -> T) -> T {
+    let record = parhde_trace::Record::open();
+    let mut out = call();
+    let totals = record.close();
+    if let Some(stats) = out.stats_mut() {
+        stats.read(totals);
+    }
+    out
 }
 
 /// The four canonical breakdown buckets of Figures 3/5/6.
@@ -120,11 +120,27 @@ pub struct GroupedBreakdown {
     pub triple_prod: f64,
     /// (D-)orthogonalization, seconds.
     pub dortho: f64,
-    /// Everything else (eigensolve, projection, init), seconds.
+    /// Everything else (eigensolve, projection, init, checkpoint), seconds.
     pub other: f64,
 }
 
 impl GroupedBreakdown {
+    /// Folds `phases` into the buckets their [`phase::ALL`] entries name;
+    /// a name outside the vocabulary counts as Other.
+    pub fn of(phases: &PhaseAccumulator) -> GroupedBreakdown {
+        let mut g = GroupedBreakdown { bfs: 0.0, triple_prod: 0.0, dortho: 0.0, other: 0.0 };
+        for (name, d) in phases.iter() {
+            let bucket = match phase::lookup(name).map(|e| e.1) {
+                Some("BFS") => &mut g.bfs,
+                Some("TripleProd") => &mut g.triple_prod,
+                Some("DOrtho") => &mut g.dortho,
+                _ => &mut g.other,
+            };
+            *bucket += d.as_secs_f64();
+        }
+        g
+    }
+
     /// Total seconds across buckets.
     pub fn total(&self) -> f64 {
         self.bfs + self.triple_prod + self.dortho + self.other
@@ -157,14 +173,20 @@ impl GroupedBreakdown {
     }
 }
 
-/// Statistics from one layout-pipeline run.
+/// Statistics from one layout-pipeline call. `phases`, `counters`,
+/// `gauges` and `warnings` are read back from the call's run record, so
+/// they cover every attempt the call made (abandoned re-pivot attempts and
+/// supervisor rungs included); the other fields describe the attempt that
+/// produced the layout.
 #[derive(Clone, Debug, Default)]
 pub struct HdeStats {
-    /// Fine-grained phase times.
+    /// Fine-grained phase times, in first-seen order.
     pub phases: PhaseAccumulator,
-    /// Aggregated traversal statistics over all BFS runs (zeroed when the
-    /// traversal does not report stats, e.g. sequential BFS or SSSP).
-    pub traversal: TraversalStats,
+    /// Counter totals (work metrics such as `bfs.top_down_edges`), in
+    /// first-seen order.
+    pub counters: Vec<(&'static str, u64)>,
+    /// The last sample of each gauge, in first-seen order.
+    pub gauges: Vec<(&'static str, f64)>,
     /// Requested subspace dimension `s`.
     pub s_requested: usize,
     /// Columns surviving orthogonalization (excluding the constant column).
@@ -189,27 +211,16 @@ pub struct HdeStats {
     /// The backend that actually served the kernels after `auto`
     /// resolution (`"scalar"` or `"simd"`); `None` when none was installed.
     pub backend_executed: Option<&'static str>,
-    /// Degradations the fail-soft pipeline absorbed (empty on a clean run;
-    /// always empty for the strict/panicking entry points).
-    pub warnings: Vec<crate::Warning>,
+    /// Degradations the fail-soft pipeline absorbed, in the order they
+    /// happened (empty on a clean run; the strict entry points record only
+    /// `NanDistances`).
+    pub warnings: Vec<Warning>,
 }
 
 impl HdeStats {
     /// Folds fine-grained phases into the four canonical buckets.
     pub fn grouped(&self) -> GroupedBreakdown {
-        let p = &self.phases;
-        GroupedBreakdown {
-            bfs: p.seconds(phase::BFS) + p.seconds(phase::BFS_OTHER),
-            triple_prod: p.seconds(phase::LS)
-                + p.seconds(phase::GEMM)
-                + p.seconds(phase::FUSED)
-                + p.seconds(phase::COL_CENTER)
-                + p.seconds(phase::DBL_CENTER),
-            dortho: p.seconds(phase::DORTHO),
-            other: p.seconds(phase::EIGEN)
-                + p.seconds(phase::PROJECT)
-                + p.seconds(phase::INIT),
-        }
+        GroupedBreakdown::of(&self.phases)
     }
 
     /// Total wall seconds across all recorded phases.
@@ -217,11 +228,35 @@ impl HdeStats {
         self.phases.total().as_secs_f64()
     }
 
-    /// Records a degradation: the warning lands in [`HdeStats::warnings`]
-    /// *and* — when a trace session is active — in the event stream as a
-    /// structured warning event under the currently open span.
-    pub fn warn(&mut self, w: crate::Warning) {
-        self.warnings.push(trace_warning(w));
+    /// The total of counter `name`, if the call recorded it.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    }
+
+    /// Takes the call's phases, counters, gauges and typed warnings from
+    /// its record's totals.
+    fn read(&mut self, totals: Totals) {
+        self.phases = totals.phases;
+        self.counters = totals.counters;
+        self.gauges = totals.gauges;
+        let typed = totals.warnings.iter().filter_map(|n| n.get::<Warning>().cloned());
+        self.warnings = typed.collect();
+    }
+}
+
+/// Renders run report v1 from a run's record: `head` carries what only
+/// the caller knows (binary, algorithm, graph, configuration, exit and
+/// wall time), the record supplies the phases, their Figure-3 buckets, the
+/// counters, the gauges and the warnings. Both binaries write their
+/// reports through this one function.
+pub fn render_report(head: RunReport, totals: &Totals) -> RunReport {
+    RunReport {
+        phases: totals.phases.iter().map(|(n, d)| (n.to_string(), d.as_secs_f64())).collect(),
+        grouped: GroupedBreakdown::of(&totals.phases).entries(),
+        counters: totals.counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
+        gauges: totals.gauges.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
+        warnings: totals.warnings.iter().map(|w| w.message().to_string()).collect(),
+        ..head
     }
 }
 
@@ -247,6 +282,37 @@ mod tests {
         assert!((g.total() - 0.18).abs() < 1e-9);
         let pct = g.percentages();
         assert!((pct.iter().sum::<f64>() - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn vocabulary_lists_each_phase_once_with_its_bucket_and_rss_counter() {
+        for (i, (name, bucket, rss)) in phase::ALL.iter().enumerate() {
+            assert!(phase::ALL[..i].iter().all(|(n, _, _)| n != name), "{name} twice");
+            assert!(["BFS", "TripleProd", "DOrtho", "Other"].contains(bucket), "{bucket}");
+            assert_eq!(*rss, format!("process.peak_rss_delta.{name}"));
+        }
+        assert_eq!(phase::lookup(phase::CHECKPOINT).map(|e| e.1), Some("Other"));
+        assert_eq!(phase::lookup("parhde"), None, "root spans are not phases");
+    }
+
+    #[test]
+    fn the_report_renders_the_record() {
+        let record = parhde_trace::Record::open();
+        drop(begin(phase::BFS));
+        drop(begin(phase::DORTHO));
+        parhde_trace::counter!("bfs.top_down_edges", 7);
+        parhde_trace::gauge!("bfs.frontier", 3.0);
+        warn(Warning::TrivialLayout { n: 1 });
+        let totals = record.close();
+        let head = RunReport { binary: "test".into(), exit_code: 3, ..RunReport::default() };
+        let report = render_report(head, &totals);
+        assert_eq!((report.binary.as_str(), report.exit_code), ("test", 3));
+        let names: Vec<&str> = report.phases.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["bfs", "dortho"]);
+        assert_eq!(report.grouped.len(), 4);
+        assert_eq!(report.counters, vec![("bfs.top_down_edges".to_string(), 7)]);
+        assert_eq!(report.gauges, vec![("bfs.frontier".to_string(), 3.0)]);
+        assert_eq!(report.warnings, vec![Warning::TrivialLayout { n: 1 }.to_string()]);
     }
 
     #[test]

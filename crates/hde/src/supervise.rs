@@ -33,7 +33,7 @@ use crate::driver::{strict, Mode};
 use crate::error::{trivial_coords, HdeError, Warning};
 use crate::parhde::{run_nd, Source};
 use crate::phde::{run_pca, PhdeConfig, PHDE};
-use crate::stats::{trace_warning, HdeStats};
+use crate::stats::{recorded, warn, HdeStats, Recorded};
 use parhde_graph::store::GraphStore;
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_util::supervisor;
@@ -283,29 +283,27 @@ pub struct SuperviseOptions {
     pub cancel_flag: Option<parhde_util::CancelFlag>,
 }
 
-/// One abandoned rung of the degraded-retry ladder.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LadderStep {
-    /// The rung that was abandoned.
-    pub rung: &'static str,
-    /// Display text of the budget trip that ended it.
-    pub cause: String,
-}
-
-/// The result of a supervised run: the coordinates, the stats of the rung
-/// that produced them, and the trail of rungs abandoned on the way there.
+/// The result of a supervised run: the coordinates, the rung that
+/// produced them, and the run's stats.
 #[derive(Clone, Debug)]
 pub struct Supervised {
     /// The `n×p` layout coordinates.
     pub coords: ColMajorMatrix,
-    /// Statistics from the successful rung (ladder and admission events are
-    /// also recorded in its `warnings`).
+    /// The run's stats. Phases, counters and warnings cover the whole
+    /// supervised call: the admission decision, every abandoned rung (its
+    /// own phases and warnings, then a [`Warning::LadderStep`]) and the
+    /// rung that succeeded, in that order. The other fields describe the
+    /// successful rung.
     pub stats: HdeStats,
-    /// Rungs abandoned before `rung` succeeded; empty on an undegraded run.
-    pub ladder: Vec<LadderStep>,
     /// Label of the rung that produced `coords`: `"full"`,
     /// `"halved_pivots"`, `"batched_bfs"`, `"phde"` or `"trivial"`.
     pub rung: &'static str,
+}
+
+impl Recorded for Supervised {
+    fn stats_mut(&mut self) -> Option<&mut HdeStats> {
+        Some(&mut self.stats)
+    }
 }
 
 /// Fractions of the total deadline at which each rung must be done.
@@ -322,9 +320,10 @@ const SLICE_PHDE: f64 = 0.97;
 /// batched-BFS with random pivots → the PHDE pipeline (2-D runs only) → a
 /// trivial line layout. Only *budget* trips (deadline, memory) descend the
 /// ladder; cancellation and every ordinary pipeline error return
-/// immediately. Every attempted rung writes `opts.checkpoint` after its
-/// BFS phase, so even an interrupted degraded run leaves a resumable
-/// checkpoint behind.
+/// immediately. Each abandoned rung is recorded as one
+/// [`Warning::LadderStep`]. Every attempted rung writes `opts.checkpoint`
+/// after its BFS phase, so even an interrupted degraded run leaves a
+/// resumable checkpoint behind.
 ///
 /// Installs the run's budget on the calling thread for its whole duration
 /// ([`supervisor::install`]); an install the caller holds is shadowed
@@ -346,9 +345,6 @@ pub fn try_par_hde_nd_supervised<G: GraphStore>(
     opts: &SuperviseOptions,
 ) -> Result<Supervised, HdeError> {
     let _root = parhde_trace::span!("parhde_supervised");
-    let start = Instant::now();
-    let n = g.num_vertices();
-
     let mut budget = RunBudget::unbounded();
     if let Some(bytes) = opts.mem_budget_bytes {
         budget = budget.with_mem_budget(bytes);
@@ -359,11 +355,28 @@ pub fn try_par_hde_nd_supervised<G: GraphStore>(
     if let Some(flag) = &opts.cancel_flag {
         budget = budget.with_external_cancel(std::sync::Arc::clone(flag));
     }
-    let installed = supervisor::install(&budget);
+    let _installed = supervisor::install(&budget);
+    recorded(|| {
+        let out = supervised(g, cfg, p, opts, &budget);
+        parhde_trace::counter!("supervisor.checks", budget.checks());
+        out
+    })
+}
+
+/// The supervised run under its installed `budget`: admission, the
+/// ladder, and the trivial rung.
+fn supervised<G: GraphStore>(
+    g: &G,
+    cfg: &ParHdeConfig,
+    p: usize,
+    opts: &SuperviseOptions,
+    budget: &RunBudget,
+) -> Result<Supervised, HdeError> {
+    let start = Instant::now();
+    let n = g.num_vertices();
 
     // ---- Memory admission (before any large allocation) -----------------
     let mut cfg = cfg.clone();
-    let mut pre_warnings: Vec<Warning> = Vec::new();
     // The admission model's prediction, exported beside the measured
     // `process.peak_rss_bytes`: for the requested configuration, then for
     // the admitted one if admission shrinks it.
@@ -382,12 +395,12 @@ pub fn try_par_hde_nd_supervised<G: GraphStore>(
             Some(a) if a.downscaled => {
                 parhde_trace::gauge!("supervisor.estimate_bytes", a.estimated_bytes as f64);
                 parhde_trace::counter!("supervisor.admission.downscaled", 1);
-                pre_warnings.push(trace_warning(Warning::AdmissionDownscaled {
+                warn(Warning::AdmissionDownscaled {
                     requested: cfg.subspace,
                     admitted: a.subspace,
                     estimated_bytes: a.estimated_bytes,
                     budget_bytes: bytes,
-                }));
+                });
                 cfg.subspace = a.subspace;
             }
             Some(_) => {
@@ -395,27 +408,12 @@ pub fn try_par_hde_nd_supervised<G: GraphStore>(
             }
             None => {
                 parhde_trace::counter!("supervisor.admission.rejected", 1);
-                let mut stats = HdeStats {
-                    s_requested: cfg.subspace,
-                    ..HdeStats::default()
-                };
-                stats.warnings = pre_warnings;
-                stats.warn(Warning::TrivialLayout { n });
-                emit_final_counters(&budget);
-                drop(installed);
-                return Ok(Supervised {
-                    coords: trivial_coords(n, p),
-                    stats,
-                    ladder: Vec::new(),
-                    rung: "trivial",
-                });
+                return Ok(trivial(n, p, cfg.subspace));
             }
         }
     }
 
     // ---- The ladder ------------------------------------------------------
-    let mut ladder: Vec<LadderStep> = Vec::new();
-    let mut ladder_warnings: Vec<Warning> = Vec::new();
     let rungs: [(&'static str, f64); 4] = [
         ("full", SLICE_FULL),
         ("halved_pivots", SLICE_HALVED),
@@ -466,17 +464,7 @@ pub fn try_par_hde_nd_supervised<G: GraphStore>(
             run_nd(g, &rung_cfg, p, Mode::FailSoft, Source::Bfs(opts.checkpoint.as_ref()))
         };
         match attempt {
-            Ok((coords, mut stats)) => {
-                stats.warnings.splice(
-                    0..0,
-                    std::mem::take(&mut pre_warnings)
-                        .into_iter()
-                        .chain(std::mem::take(&mut ladder_warnings)),
-                );
-                emit_final_counters(&budget);
-                drop(installed);
-                return Ok(Supervised { coords, stats, ladder, rung });
-            }
+            Ok((coords, stats)) => return Ok(Supervised { coords, stats, rung }),
             Err(e) if e.is_budget_trip() => {
                 parhde_trace::counter!("supervisor.ladder.step", 1);
                 match &e {
@@ -488,19 +476,12 @@ pub fn try_par_hde_nd_supervised<G: GraphStore>(
                     }
                     _ => {}
                 }
-                let cause = e.to_string();
-                ladder_warnings.push(trace_warning(Warning::LadderStep {
-                    rung,
-                    cause: cause.clone(),
-                }));
-                ladder.push(LadderStep { rung, cause });
+                warn(Warning::LadderStep { rung, cause: e.to_string() });
             }
             Err(e) => {
                 if matches!(e, HdeError::Cancelled { .. }) {
                     parhde_trace::counter!("supervisor.trip.cancelled", 1);
                 }
-                emit_final_counters(&budget);
-                drop(installed);
                 return Err(e);
             }
         }
@@ -508,23 +489,17 @@ pub fn try_par_hde_nd_supervised<G: GraphStore>(
 
     // ---- Trivial rung (always succeeds, no budget needed) ----------------
     budget.disarm_deadline();
-    let mut stats = HdeStats { s_requested: cfg.subspace, ..HdeStats::default() };
-    stats.warnings = pre_warnings;
-    stats.warnings.extend(ladder_warnings);
-    stats.warn(Warning::TrivialLayout { n });
-    emit_final_counters(&budget);
-    drop(installed);
-    Ok(Supervised {
-        coords: trivial_coords(n, p),
-        stats,
-        ladder,
-        rung: "trivial",
-    })
+    Ok(trivial(n, p, cfg.subspace))
 }
 
-/// Emits the end-of-run supervisor counters.
-fn emit_final_counters(budget: &RunBudget) {
-    parhde_trace::counter!("supervisor.checks", budget.checks());
+/// The trivial rung: the line layout, recorded with its warning.
+fn trivial(n: usize, p: usize, s_requested: usize) -> Supervised {
+    warn(Warning::TrivialLayout { n });
+    Supervised {
+        coords: trivial_coords(n, p),
+        stats: HdeStats { s_requested, ..HdeStats::default() },
+        rung: "trivial",
+    }
 }
 
 #[cfg(test)]

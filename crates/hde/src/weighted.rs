@@ -21,7 +21,7 @@ use crate::config::{ParHdeConfig, PivotStrategy};
 use crate::driver::{self, pipeline_from_s, strict, Mode, Prepared, Similarities};
 use crate::error::HdeError;
 use crate::layout::Layout;
-use crate::stats::{phase, HdeStats, PhaseSpan};
+use crate::stats::{begin, phase, recorded, HdeStats};
 use parhde_graph::{prep, CsrGraph, WeightedCsr};
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_sssp::delta_stepping::delta_stepping_into_f64;
@@ -75,7 +75,8 @@ pub fn par_hde_weighted_with(
     delta: f64,
     semantics: WeightSemantics,
 ) -> (Layout, HdeStats) {
-    let (coords, stats) = strict(run_weighted(g, cfg, delta, semantics, Mode::Strict));
+    let strict_run = || run_weighted(g, cfg, delta, semantics, Mode::Strict);
+    let (coords, stats) = strict(recorded(strict_run));
     (Layout::from_coords(&coords), stats)
 }
 
@@ -108,13 +109,14 @@ pub fn try_par_hde_weighted_with(
     delta: f64,
     semantics: WeightSemantics,
 ) -> Result<(Layout, HdeStats), HdeError> {
-    let (coords, stats) = run_weighted(g, cfg, delta, semantics, Mode::FailSoft)?;
+    let (coords, stats) = recorded(|| run_weighted(g, cfg, delta, semantics, Mode::FailSoft))?;
     Ok((Layout::from_coords(&coords), stats))
 }
 
 /// The weighted driver behind every entry point: upfront validation, the
 /// shared fail-soft policy, then [`sssp_phase`] and the shared tail under
-/// the re-pivot loop.
+/// the re-pivot loop. Each entry point runs it in the call's own run
+/// record.
 fn run_weighted(
     g: &WeightedCsr,
     cfg: &ParHdeConfig,
@@ -168,12 +170,7 @@ fn run_weighted(
 
     run.retry(mode, cfg.backend, cfg.seed, |seed, stats| {
         let smat = sssp_phase(&lengths, &cfg, delta, seed, stats)?;
-        // DOrtho rewrites S in place, so the raw-basis projection ablation
-        // needs its own copy of the distance columns.
-        let raw = cfg
-            .project_from_raw
-            .then(|| ColMajorMatrix::from_data(n, cfg.subspace, smat.data()[n..].to_vec()));
-        pipeline_from_s(&Similarities(&sims), &cfg, 2, smat, raw.as_ref(), stats)
+        pipeline_from_s(&Similarities(&sims), &cfg, 2, smat, stats)
     })
 }
 
@@ -194,26 +191,25 @@ fn sssp_phase(
 
     match cfg.pivots {
         PivotStrategy::KCenters => {
-            kcenters(n, b, &mut rng, stats, |src, col, _| {
-                delta_stepping_into_f64(g, src, delta, col)
-            })?;
+            let sssp = |src, col: &mut [f64]| delta_stepping_into_f64(g, src, delta, col);
+            kcenters(n, b, &mut rng, stats, sssp)?;
         }
         PivotStrategy::Random => {
-            let ph = PhaseSpan::begin(phase::BFS_OTHER);
+            let ph = begin(phase::BFS_OTHER);
             let sources: Vec<u32> = rng
                 .sample_distinct(n, s)
                 .into_iter()
                 .map(|v| v as u32)
                 .collect();
             stats.sources = sources.clone();
-            ph.end(&mut stats.phases);
-            let ph = PhaseSpan::begin(phase::BFS);
+            drop(ph);
+            let ph = begin(phase::BFS);
             let reached: Vec<usize> = sources
                 .par_iter()
                 .zip(b.par_chunks_mut(n))
                 .map(|(&src, col)| delta_stepping_into_f64(g, src, delta, col))
                 .collect();
-            ph.end(&mut stats.phases);
+            drop(ph);
             // As above: the trip outranks the partial reach it causes.
             crate::supervise::budget_check(phase::BFS)?;
             if reached[0] != n {
@@ -237,34 +233,53 @@ mod tests {
     fn dropped_nan_distances_reach_the_stats_warnings_in_both_modes() {
         use crate::config::LinalgBackend;
         use crate::error::Warning;
+        use crate::stats::{recorded, render_report};
+        use parhde_trace::{RunReport, TraceEvent, TraceSession};
         // Δ-stepping on finite weights never yields NaN, so the traversal
         // poisons one distance per pivot after the real SSSP; the
-        // k-centers fold drops it and warns. That warning must survive
-        // `Run::retry`, after the policy's own.
+        // k-centers fold drops it and warns. That warning must reach the
+        // call's stats, the run report and the trace, after the policy's
+        // own.
         let wg = WeightedCsr::unit_weights(grid2d(6, 6));
         let n = wg.num_vertices();
         for (mode, requested) in [(Mode::Strict, 8), (Mode::FailSoft, 50)] {
             let mut s = requested;
-            let largest = driver::largest_component;
-            let prepared = driver::prepare(n, 2, mode, &mut s, Some(wg.graph()), largest);
-            let Ok(Prepared::Run(run)) = prepared else { panic!("expected a plain run") };
-            let (_, stats) = run
-                .retry(mode, LinalgBackend::default(), 7, |seed, stats| {
+            let session = TraceSession::begin();
+            let (_, stats) = recorded(|| {
+                let largest = driver::largest_component;
+                let prepared = driver::prepare(n, 2, mode, &mut s, Some(wg.graph()), largest);
+                let Ok(Prepared::Run(run)) = prepared else { panic!("expected a plain run") };
+                run.retry(mode, LinalgBackend::default(), 7, |seed, stats| {
                     let mut b = vec![0.0; n * s];
                     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-                    kcenters(n, &mut b, &mut rng, stats, |src, col, _| {
+                    kcenters(n, &mut b, &mut rng, stats, |src, col| {
                         let reached = delta_stepping_into_f64(&wg, src, 1.0, col);
                         col[(src as usize + 1) % n] = f64::NAN;
                         reached
                     })
                 })
-                .unwrap();
+            })
+            .unwrap();
+            let trace = session.finish();
             let nan = Warning::NanDistances { count: s };
             let expected = match mode {
                 Mode::Strict => vec![nan],
                 Mode::FailSoft => vec![Warning::SubspaceClamped { requested, clamped: n - 1 }, nan],
             };
             assert_eq!(stats.warnings, expected, "{mode:?}");
+            let messages: Vec<String> = expected.iter().map(|w| w.to_string()).collect();
+            let report = render_report(RunReport::default(), &trace.totals);
+            assert_eq!(report.warnings, messages, "{mode:?}: run report");
+            let traced: Vec<String> = trace
+                .threads
+                .iter()
+                .flat_map(|t| &t.events)
+                .filter_map(|e| match e {
+                    TraceEvent::Warning(w) => Some(w.message.clone()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(traced, messages, "{mode:?}: trace");
         }
     }
 

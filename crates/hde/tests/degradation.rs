@@ -5,7 +5,7 @@
 //! `prep::largest_component` run — and every degraded path stays
 //! deterministic under a fixed seed.
 
-use parhde::config::ParHdeConfig;
+use parhde::config::{BfsMode, ParHdeConfig};
 use parhde::{
     par_hde, par_hde_weighted, phde, pivot_mds, try_par_hde, try_par_hde_nd_checkpointed,
     try_par_hde_resume, try_par_hde_weighted, try_phde, try_pivot_mds, Checkpoint,
@@ -14,6 +14,7 @@ use parhde::{
 use parhde_graph::gen::poison;
 use parhde_graph::{builder, gen, prep, CsrGraph, WeightedCsr};
 use parhde_linalg::dense::ColMajorMatrix;
+use parhde_trace::{TraceEvent, TraceSession};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 type FailSoft = fn(&CsrGraph, usize) -> Result<(Layout, HdeStats), HdeError>;
@@ -180,16 +181,28 @@ fn disconnected_fallback_matches_explicit_largest_component_run() {
 /// fails and the re-pivot retry must rescue it deterministically.
 #[test]
 fn repivot_retry_is_deterministic_under_fixed_seed() {
-    let g = builder::build_from_edges(3, vec![(0, 1), (1, 2)]);
+    let (g, seed) = repivoting_run();
     let cfg_for = |seed: u64| ParHdeConfig { seed, ..ParHdeConfig::with_subspace(2) };
 
-    let mut retry_seed = None;
+    // Two runs with the identical seed: identical warnings, identical layout.
+    let (a, sa) = try_par_hde(&g, &cfg_for(seed)).unwrap();
+    let (b, sb) = try_par_hde(&g, &cfg_for(seed)).unwrap();
+    assert_eq!(sa.warnings, sb.warnings);
+    assert!(sa.warnings.iter().any(|w| matches!(w, Warning::RepivotRetry { .. })));
+    assert_eq!(a.x, b.x);
+    assert_eq!(a.y, b.y);
+}
+
+/// The 3-vertex path of [`repivot_retry_is_deterministic_under_fixed_seed`]
+/// and the first seed whose run needs a re-pivot retry.
+fn repivoting_run() -> (CsrGraph, u64) {
+    let g = builder::build_from_edges(3, vec![(0, 1), (1, 2)]);
     for seed in 0..200 {
-        match try_par_hde(&g, &cfg_for(seed)) {
+        let cfg = ParHdeConfig { seed, ..ParHdeConfig::with_subspace(2) };
+        match try_par_hde(&g, &cfg) {
             Ok((_, stats)) => {
                 if stats.warnings.iter().any(|w| matches!(w, Warning::RepivotRetry { .. })) {
-                    retry_seed = Some(seed);
-                    break;
+                    return (g, seed);
                 }
             }
             // All retries exhausted: must report the full retry budget.
@@ -199,15 +212,63 @@ fn repivot_retry_is_deterministic_under_fixed_seed() {
             Err(other) => panic!("seed {seed}: unexpected error {other:?}"),
         }
     }
-    let seed = retry_seed.expect("no seed in 0..200 exercised the re-pivot retry");
+    panic!("no seed in 0..200 exercised the re-pivot retry");
+}
 
-    // Two runs with the identical seed: identical warnings, identical layout.
-    let (a, sa) = try_par_hde(&g, &cfg_for(seed)).unwrap();
-    let (b, sb) = try_par_hde(&g, &cfg_for(seed)).unwrap();
-    assert_eq!(sa.warnings, sb.warnings);
-    assert!(sa.warnings.iter().any(|w| matches!(w, Warning::RepivotRetry { .. })));
-    assert_eq!(a.x, b.x);
-    assert_eq!(a.y, b.y);
+#[test]
+fn a_repivoted_run_keeps_its_abandoned_attempts_in_order() {
+    let (g, seed) = repivoting_run();
+    let cfg = ParHdeConfig { seed, ..ParHdeConfig::with_subspace(2) };
+    let session = TraceSession::begin();
+    let (_, stats) = try_par_hde(&g, &cfg).unwrap();
+    let trace = session.finish();
+
+    // The call's stats are its record: every attempt's phases and
+    // counters, not only the last one's.
+    assert_eq!(trace.totals.phases, stats.phases);
+    let retries = stats
+        .warnings
+        .iter()
+        .filter(|w| matches!(w, Warning::RepivotRetry { .. }))
+        .count();
+    assert!(retries >= 1);
+    let kept = stats.counter("dortho.kept_columns").expect("DOrtho counted its columns");
+    assert!(kept > stats.s_kept as u64 + 1, "only the last attempt was counted: {kept}");
+
+    // On the timeline each attempt ran DOrtho, and each retry warning
+    // sits between the attempt it abandoned and the next one.
+    let events = || trace.threads.iter().flat_map(|t| &t.events);
+    let mut dortho: Vec<u64> = events()
+        .filter_map(|e| match e {
+            TraceEvent::Span(s) if s.name == "dortho" => Some(s.begin_ns),
+            _ => None,
+        })
+        .collect();
+    dortho.sort_unstable();
+    assert_eq!(dortho.len(), retries + 1);
+    let retried: Vec<u64> = events()
+        .filter_map(|e| match e {
+            TraceEvent::Warning(w) if w.message.starts_with("re-pivot retry") => Some(w.t_ns),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retried.len(), retries);
+    for (i, t) in retried.iter().enumerate() {
+        assert!(dortho[i] < *t && *t < dortho[i + 1], "retry {i} out of order");
+    }
+}
+
+#[test]
+fn batched_bfs_with_k_centers_pivots_is_a_recorded_warning() {
+    // K-centers pivots depend on each other, so forcing the batched kernel
+    // falls back to direction-optimizing traversals — and says so in the
+    // stats like every other degradation.
+    let g = gen::grid2d(12, 12);
+    let cfg = ParHdeConfig { bfs_mode: BfsMode::Batched, ..cfg(8) };
+    let (layout, stats) = try_par_hde(&g, &cfg).unwrap();
+    assert_eq!(stats.warnings, vec![Warning::BatchedBfsUnavailable]);
+    assert_eq!(stats.bfs_mode, Some("direction_opt"));
+    assert_eq!(layout, par_hde(&g, &self::cfg(8)).0, "the fallback is the default traversal");
 }
 
 #[test]

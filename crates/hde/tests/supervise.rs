@@ -47,7 +47,7 @@ fn unbudgeted_supervised_run_matches_plain_pipeline() {
     let sup = try_par_hde_nd_supervised(&g, &cfg, 2, &SuperviseOptions::default())
         .unwrap();
     assert_eq!(sup.rung, "full");
-    assert!(sup.ladder.is_empty(), "no budget, no degradation");
+    assert!(sup.stats.warnings.is_empty(), "no budget, no degradation: {:?}", sup.stats.warnings);
     assert_eq!(sup.coords, plain, "supervision must not perturb the result");
 }
 
@@ -61,23 +61,65 @@ fn zero_deadline_walks_the_ladder_to_trivial() {
     };
     let sup = try_par_hde_nd_supervised(&g, &cfg, 2, &opts).unwrap();
     assert_eq!(sup.rung, "trivial");
+    // Each abandoned rung is recorded once, as a warning, then the
+    // trivial layout's own.
+    let rungs: Vec<&str> = sup
+        .stats
+        .warnings
+        .iter()
+        .filter_map(|w| match w {
+            Warning::LadderStep { rung, .. } => Some(*rung),
+            _ => None,
+        })
+        .collect();
     assert_eq!(
-        sup.ladder.iter().map(|s| s.rung).collect::<Vec<_>>(),
+        rungs,
         vec!["full", "halved_pivots", "batched_bfs", "phde"],
         "every rung must be attempted and abandoned"
     );
+    assert_eq!(sup.stats.warnings.len(), 5, "{:?}", sup.stats.warnings);
+    assert!(matches!(sup.stats.warnings[4], Warning::TrivialLayout { .. }));
     // The layout is still usable: right shape, finite entries.
     assert_eq!(sup.coords.rows(), g.num_vertices());
     assert_eq!(sup.coords.cols(), 2);
     assert!(sup.coords.col(0).iter().all(|v| v.is_finite()));
-    // Each abandoned rung is also recorded as a warning for reports.
-    let ladder_warnings = sup
-        .stats
-        .warnings
-        .iter()
-        .filter(|w| matches!(w, Warning::LadderStep { .. }))
-        .count();
-    assert_eq!(ladder_warnings, 4);
+}
+
+#[test]
+fn a_laddered_run_keeps_its_abandoned_rungs_in_order() {
+    let g = gen::grid2d(40, 40);
+    let opts = SuperviseOptions { deadline: Some(Duration::ZERO), ..SuperviseOptions::default() };
+    let session = parhde_trace::TraceSession::begin();
+    let sup = try_par_hde_nd_supervised(&g, &ParHdeConfig::default(), 2, &opts).unwrap();
+    let trace = session.finish();
+    assert_eq!(sup.rung, "trivial");
+
+    // The ParHDE rungs trip at their first budget check; the PHDE rung
+    // traverses once before its check abandons it. The record keeps that
+    // abandoned rung's phases.
+    assert_eq!(trace.totals.phases, sup.stats.phases);
+    let names: Vec<&str> = sup.stats.phases.iter().map(|(n, _)| n).collect();
+    assert_eq!(names, ["bfs_other", "bfs"]);
+
+    // The timeline agrees with the stats on the warnings and their order,
+    // and the PHDE rung's traversal precedes the warning that abandoned it.
+    let events = || trace.threads.iter().flat_map(|t| &t.events);
+    let warned: Vec<(u64, String)> = events()
+        .filter_map(|e| match e {
+            parhde_trace::TraceEvent::Warning(w) => Some((w.t_ns, w.message.clone())),
+            _ => None,
+        })
+        .collect();
+    let messages: Vec<String> = sup.stats.warnings.iter().map(|w| w.to_string()).collect();
+    assert_eq!(warned.iter().map(|(_, m)| m.clone()).collect::<Vec<_>>(), messages);
+    let bfs = events()
+        .find_map(|e| match e {
+            parhde_trace::TraceEvent::Span(s) if s.name == "bfs" => Some(s.end_ns),
+            _ => None,
+        })
+        .expect("the PHDE rung's traversal is on the timeline");
+    let (abandoned, _) = warned.iter().find(|(_, m)| m.contains("rung phde ")).unwrap();
+    assert!(bfs <= *abandoned);
 }
 
 #[test]
@@ -157,11 +199,7 @@ fn supervised_runs_export_the_admission_estimate() {
     let gauge = |opts: &SuperviseOptions| {
         let session = parhde_trace::TraceSession::begin();
         let sup = try_par_hde_nd_supervised(&g, &cfg, 2, opts).unwrap();
-        let finals = session.finish().gauge_finals();
-        let value = finals
-            .into_iter()
-            .find(|(name, _)| name == "supervisor.estimate_bytes")
-            .map(|(_, v)| v);
+        let value = session.finish().totals.gauge("supervisor.estimate_bytes");
         (sup, value)
     };
     // Unbudgeted: the estimate of the configuration as requested.

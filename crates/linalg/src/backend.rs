@@ -1049,13 +1049,9 @@ pub enum Family {
 }
 
 /// Records `elems` elements processed by `family` under the active
-/// backend, as counter `linalg.backend.<backend>.<family>`. The static
-/// name table keeps the hot path allocation-free; a no-op when tracing is
-/// disabled.
+/// backend, as counter `linalg.backend.<backend>.<family>` in the thread's
+/// run record. The static name table keeps the hot path allocation-free.
 pub fn count(family: Family, elems: u64) {
-    if !parhde_trace::enabled() {
-        return;
-    }
     let name = match (active_id(), family) {
         (ID_SIMD, Family::Gemm) => "linalg.backend.simd.gemm",
         (ID_SIMD, Family::Spmm) => "linalg.backend.simd.spmm",

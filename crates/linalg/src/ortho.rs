@@ -92,10 +92,8 @@ pub fn mgs(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> OrthoOutcome 
     }
     let kept = steps.kept;
     s.retain_columns(&kept);
-    if parhde_trace::enabled() {
-        parhde_trace::counter!("dortho.kept_columns", kept.len() as u64);
-        parhde_trace::counter!("dortho.dropped_columns", dropped.len() as u64);
-    }
+    parhde_trace::counter!("dortho.kept_columns", kept.len() as u64);
+    parhde_trace::counter!("dortho.dropped_columns", dropped.len() as u64);
     OrthoOutcome { kept, dropped }
 }
 
@@ -343,10 +341,8 @@ pub fn cgs(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> OrthoOutcome 
         }
     }
     s.retain_columns(&kept);
-    if parhde_trace::enabled() {
-        parhde_trace::counter!("dortho.kept_columns", kept.len() as u64);
-        parhde_trace::counter!("dortho.dropped_columns", dropped.len() as u64);
-    }
+    parhde_trace::counter!("dortho.kept_columns", kept.len() as u64);
+    parhde_trace::counter!("dortho.dropped_columns", dropped.len() as u64);
     OrthoOutcome { kept, dropped }
 }
 
@@ -439,10 +435,8 @@ pub fn bcgs2(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> OrthoOutcom
         p0 = p1;
     }
     s.retain_columns(&kept);
-    if parhde_trace::enabled() {
-        parhde_trace::counter!("dortho.kept_columns", kept.len() as u64);
-        parhde_trace::counter!("dortho.dropped_columns", dropped.len() as u64);
-    }
+    parhde_trace::counter!("dortho.kept_columns", kept.len() as u64);
+    parhde_trace::counter!("dortho.dropped_columns", dropped.len() as u64);
     OrthoOutcome { kept, dropped }
 }
 

@@ -199,17 +199,18 @@ impl LayoutCache {
     }
 
     /// Loads the entry for `key`. A missing entry is a miss; a corrupt or
-    /// torn entry is deleted and reported as a miss (with a counter), so
-    /// one bad file can never wedge the key. An injected read fault
-    /// (failpoint `cache.read_entry`) is a plain miss — the entry itself
-    /// is healthy, so it is *not* evicted.
+    /// torn entry is deleted and reported as a miss, counted in the
+    /// process-global registry as `parhde_cache_corrupt_evicted_total`
+    /// (which a daemon's `STATS` scrape folds in), so one bad file can
+    /// never wedge the key. An injected read fault (failpoint
+    /// `cache.read_entry`) is a plain miss — the entry itself is healthy,
+    /// so it is *not* evicted.
     pub fn load(&self, key: u64) -> Option<CachedLayout> {
         use parhde_util::failpoint;
         if matches!(
             failpoint::check("cache.read_entry"),
             Some(failpoint::Fired::Err | failpoint::Fired::Partial)
         ) {
-            parhde_trace::counter!("serve.cache.read_injected_miss", 1);
             return None;
         }
         let path = self.entry_path(key);
@@ -217,7 +218,9 @@ impl LayoutCache {
         match decode(&bytes, key) {
             Some(hit) => Some(hit),
             None => {
-                parhde_trace::counter!("serve.cache.corrupt_evicted", 1);
+                parhde_trace::registry::global()
+                    .counter("parhde_cache_corrupt_evicted_total")
+                    .inc();
                 let _ = std::fs::remove_file(&path);
                 self.index
                     .lock()

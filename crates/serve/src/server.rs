@@ -32,8 +32,9 @@ use crate::budget::{AdmitError, ServiceClock, SharedSoftBudget};
 use crate::cache::{cache_key, LayoutCache};
 use crate::proto::{self, Op, Request, Response};
 use parhde::config::ParHdeConfig;
+use parhde::stats::render_report;
 use parhde::{
-    try_par_hde_nd_supervised, Checkpoint, HdeError, HdeStats, SuperviseOptions,
+    try_par_hde_nd_supervised, Checkpoint, HdeError, SuperviseOptions,
 };
 use parhde_graph::gen;
 use parhde_graph::io::{parse_edge_list, parse_matrix_market};
@@ -42,7 +43,7 @@ use parhde_graph::store::GraphStore;
 use parhde_graph::{CompressedCsr, CsrGraph};
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_trace::registry::{self, Counter, Gauge, Histogram, Registry};
-use parhde_trace::{RunReport, TraceSession};
+use parhde_trace::{Record, RunReport, Totals};
 use parhde_util::supervisor::{self, cancel_flag, CancelFlag};
 use parhde_util::threads::run_with_threads;
 use parhde_util::RunBudget;
@@ -496,7 +497,6 @@ const SHED_DRAINS_MAX: usize = 32;
 /// (within [`SHED_DRAIN_BYTES`] and [`SHED_DRAIN_TIME`]) before closing.
 fn shed_overloaded(shared: &Arc<Shared>, mut stream: TcpStream) {
     shared.metrics.connections_shed_queue.inc();
-    parhde_trace::counter!("serve.shed.queue_full", 1);
     let trace_id = shared.next_trace_id();
     let hint = shared.clock.retry_after_ms(shared.work_ahead());
     let resp = Response::new(proto::OVERLOADED, "queue full")
@@ -646,7 +646,6 @@ fn handle_connection(shared: &Arc<Shared>, pending: Pending) {
                 // may still be listening) and close — the stream is no
                 // longer frame-synchronized.
                 shared.metrics.frame_timeouts.inc();
-                parhde_trace::counter!("serve.frame.timeout", 1);
                 let resp = Response::new(proto::TIMEOUT, "frame timeout")
                     .with("error", "whole-frame read budget exhausted")
                     .with("connection", "close")
@@ -709,7 +708,6 @@ fn handle_connection(shared: &Arc<Shared>, pending: Pending) {
         }))
         .unwrap_or_else(|panic| {
             shared.metrics.panics.inc();
-            parhde_trace::counter!("serve.panic.request", 1);
             Response::new(proto::INTERNAL, "internal error (bug)")
                 .with("error", panic_message(&panic))
         });
@@ -737,7 +735,6 @@ fn handle_connection(shared: &Arc<Shared>, pending: Pending) {
             let orphans = count_buffered_frames(&stream);
             if orphans > 0 {
                 shared.metrics.pipeline_cancelled.add(orphans);
-                parhde_trace::counter!("serve.pipeline.cancelled", orphans);
             }
             if shared.cfg.log_requests {
                 log_warn_event("response-write-failed", &trace_id, &e.to_string());
@@ -1045,7 +1042,6 @@ fn handle_layout(
     inner.unwrap_or_else(|panic| {
         shared.metrics.layout_failed.inc();
         shared.metrics.panics.inc();
-        parhde_trace::counter!("serve.panic.request", 1);
         Response::new(proto::INTERNAL, "internal error (bug)")
             .with("error", panic_message(&panic))
     })
@@ -1203,7 +1199,6 @@ fn layout_resolved<G: GraphStore>(
     let hard_deadline = accepted + deadline;
     if Instant::now() >= hard_deadline {
         shared.metrics.layout_timeout.inc();
-        parhde_trace::counter!("serve.timeout.queued", 1);
         return Response::new(proto::TIMEOUT, "deadline exhausted in queue")
             .with("deadline-ms", deadline.as_millis());
     }
@@ -1214,7 +1209,6 @@ fn layout_resolved<G: GraphStore>(
         if let Some(hit) = shared.cache.as_ref().and_then(|c| c.load(key)) {
             shared.metrics.cache_hits.inc();
             shared.metrics.layout_completed.inc();
-            parhde_trace::counter!("serve.cache.hit", 1);
             let elapsed = accepted.elapsed();
             shared.clock.record_ms(elapsed.as_secs_f64() * 1e3);
             return ok_response(&hit.coords, n, m, &hit.rung, "hit", elapsed, &[]);
@@ -1227,14 +1221,12 @@ fn layout_resolved<G: GraphStore>(
         Ok(r) => r,
         Err(AdmitError::NeverFits { min_bytes, total }) => {
             shared.metrics.layout_too_large.inc();
-            parhde_trace::counter!("serve.reject.too_large", 1);
             return Response::new(proto::TOO_LARGE, "exceeds memory budget")
                 .with("estimated-bytes", min_bytes)
                 .with("budget-bytes", total);
         }
         Err(AdmitError::Busy { min_bytes, free }) => {
             shared.metrics.layout_busy.inc();
-            parhde_trace::counter!("serve.shed.budget_busy", 1);
             let hint = shared.clock.retry_after_ms(shared.work_ahead());
             return Response::new(proto::OVERLOADED, "memory budget busy")
                 .with("estimated-bytes", min_bytes)
@@ -1305,6 +1297,7 @@ struct Done {
     coords: ColMajorMatrix,
     rung: &'static str,
     cache_tag: &'static str,
+    /// The request record's warnings, in the order they happened.
     warnings: Vec<String>,
 }
 
@@ -1322,26 +1315,37 @@ fn run_layout<G: GraphStore>(
     hold_ms: u64,
 ) -> Result<Done, HdeError> {
     // Layouts run concurrently, one per worker thread: the run's budget and
-    // trace session belong to this thread (DESIGN.md §11), and the shared
+    // run record belong to this thread (DESIGN.md §11), and the shared
     // budget admitted the run's memory. The cache key is marked running so
     // an eviction meanwhile leaves the checkpoint directory this run
     // publishes into alone.
     let _running = shared.cache.as_ref().map(|c| c.mark_running(key));
     cooperative_hold(hold_ms, flag, hard_deadline)?;
 
-    let session = shared.cfg.report_dir.is_some().then(TraceSession::begin);
+    // The request's record holds every attempt it made — a warm resume
+    // that fell back to a cold run, every abandoned rung — and the STATS
+    // phase histograms, the reply's warnings and the run report all
+    // render from it.
+    let record = Record::open();
     let started = Instant::now();
     let outcome =
         run_layout_inner(shared, trace_id, g, cfg, p, hard_deadline, flag, key, no_cache);
-    if let Some(session) = session {
-        let trace = session.finish();
-        write_report(shared, trace_id, g, cfg, p, &trace, started.elapsed(), &outcome);
+    let totals = record.close();
+    for (name, dur) in totals.phases.iter() {
+        let hist = format!("parhde_phase_{}_seconds", registry::sanitize_name(name));
+        shared.metrics.registry.histogram(&hist).record(dur.as_secs_f64());
     }
+    let outcome = outcome.map(|(coords, rung, cache_tag)| {
+        let warnings = totals.warnings.iter().map(|w| w.message().to_string()).collect();
+        Done { coords, rung, cache_tag, warnings }
+    });
+    write_report(shared, trace_id, g, cfg, p, &totals, started.elapsed(), &outcome);
     outcome
 }
 
 /// The actual layout: warm-resume from a cached checkpoint when possible,
-/// else the full supervised ladder.
+/// else the full supervised ladder. Returns the coordinates, the rung and
+/// the cache tag.
 #[allow(clippy::too_many_arguments)]
 fn run_layout_inner<G: GraphStore>(
     shared: &Arc<Shared>,
@@ -1353,7 +1357,7 @@ fn run_layout_inner<G: GraphStore>(
     flag: &CancelFlag,
     key: u64,
     no_cache: bool,
-) -> Result<Done, HdeError> {
+) -> Result<(ColMajorMatrix, &'static str, &'static str), HdeError> {
     let ckpt_spec = shared.cache.as_ref().map(|c| c.checkpoint_spec(key));
 
     // ---- Warm start: resume a post-BFS checkpoint an earlier identical
@@ -1369,16 +1373,10 @@ fn run_layout_inner<G: GraphStore>(
                     let resumed = parhde::try_par_hde_resume(g, cfg, p, &ckpt);
                     drop(installed);
                     match resumed {
-                        Ok((coords, stats)) => {
+                        Ok((coords, _)) => {
                             parhde_trace::counter!("serve.cache.warm_resume", 1);
-                            record_phase_histograms(&shared.metrics, &stats);
                             store_result(shared, trace_id, key, &coords, "full", no_cache);
-                            return Ok(Done {
-                                coords,
-                                rung: "full",
-                                cache_tag: "warm",
-                                warnings: warning_strings(&stats),
-                            });
+                            return Ok((coords, "full", "warm"));
                         }
                         // Cancellation aborts the request; anything else
                         // (mismatch, corrupt, deadline) falls back to cold.
@@ -1405,28 +1403,12 @@ fn run_layout_inner<G: GraphStore>(
         cancel_flag: Some(Arc::clone(flag)),
     };
     let sup = try_par_hde_nd_supervised(g, cfg, p, &opts)?;
-    record_phase_histograms(&shared.metrics, &sup.stats);
     // Only full-quality layouts are cached: a degraded rung's output is an
     // artifact of *this* request's budget, not of the (graph, config) key.
     if sup.rung == "full" {
         store_result(shared, trace_id, key, &sup.coords, sup.rung, no_cache);
     }
-    let mut warnings = warning_strings(&sup.stats);
-    warnings.extend(
-        sup.ladder.iter().map(|s| format!("rung {} abandoned: {}", s.rung, s.cause)),
-    );
-    Ok(Done { coords: sup.coords, rung: sup.rung, cache_tag: "cold", warnings })
-}
-
-/// Folds one run's fine-grained phase times into per-phase latency
-/// histograms (`parhde_phase_<name>_seconds`), so a scrape shows where
-/// served requests actually spend their time across the whole daemon
-/// lifetime, not just in the last run report.
-fn record_phase_histograms(metrics: &Metrics, stats: &HdeStats) {
-    for (name, dur) in stats.phases.iter() {
-        let hist = format!("parhde_phase_{}_seconds", registry::sanitize_name(name));
-        metrics.registry.histogram(&hist).record(dur.as_secs_f64());
-    }
+    Ok((sup.coords, sup.rung, "cold"))
 }
 
 fn store_result(
@@ -1449,10 +1431,6 @@ fn store_result(
             }
         }
     }
-}
-
-fn warning_strings(stats: &HdeStats) -> Vec<String> {
-    stats.warnings.iter().map(|w| w.to_string()).collect()
 }
 
 fn ok_response(
@@ -1562,20 +1540,12 @@ fn watchdog_loop(shared: &Arc<Shared>) {
             let watch = shared.watch.lock().unwrap_or_else(|e| e.into_inner());
             for entry in watch.iter() {
                 match entry.stream.peek(&mut buf) {
-                    Ok(0) => {
-                        if !entry.flag.swap(true, Ordering::SeqCst) {
-                            parhde_trace::counter!("serve.cancel.disconnect", 1);
-                        }
-                    }
+                    Ok(0) => entry.flag.store(true, Ordering::SeqCst),
                     Ok(_) => {}
                     Err(e)
                         if e.kind() == std::io::ErrorKind::WouldBlock
                             || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => {
-                        if !entry.flag.swap(true, Ordering::SeqCst) {
-                            parhde_trace::counter!("serve.cancel.disconnect", 1);
-                        }
-                    }
+                    Err(_) => entry.flag.store(true, Ordering::SeqCst),
                 }
             }
         }
@@ -1583,6 +1553,8 @@ fn watchdog_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Writes the request's run report (`req-<trace-id>.json`) when the
+/// daemon keeps them, rendered from the request's record.
 #[allow(clippy::too_many_arguments)]
 fn write_report<G: GraphStore>(
     shared: &Arc<Shared>,
@@ -1590,16 +1562,16 @@ fn write_report<G: GraphStore>(
     g: &G,
     cfg: &ParHdeConfig,
     p: usize,
-    trace: &parhde_trace::Trace,
+    totals: &Totals,
     total: Duration,
     outcome: &Result<Done, HdeError>,
 ) {
     let Some(dir) = &shared.cfg.report_dir else { return };
-    let (exit_code, error, rung, cache_tag, warnings) = match outcome {
-        Ok(done) => (0, None, done.rung, done.cache_tag, done.warnings.clone()),
-        Err(e) => (e.exit_code(), Some(e.to_string()), "none", "cold", Vec::new()),
+    let (exit_code, error, rung, cache_tag) = match outcome {
+        Ok(done) => (0, None, done.rung, done.cache_tag),
+        Err(e) => (e.exit_code(), Some(e.to_string()), "none", "cold"),
     };
-    let mut report = RunReport {
+    let head = RunReport {
         binary: "parhde-serve".into(),
         algo: "parhde".into(),
         graph_n: g.num_vertices() as u64,
@@ -1618,19 +1590,15 @@ fn write_report<G: GraphStore>(
                 parhde_linalg::backend::active_name().into(),
             ),
         ],
-        phases: trace.phase_seconds(),
-        warnings,
         exit_code,
         error,
         total_seconds: total.as_secs_f64(),
         ..RunReport::default()
     };
-    report.counters = trace.counter_totals();
-    report.gauges = trace.gauge_finals();
     // The trace ID in the filename joins the on-disk artifact to the
     // response header and the NDJSON request log.
     let path = dir.join(format!("req-{trace_id}.json"));
-    if let Err(e) = std::fs::write(&path, report.to_json()) {
+    if let Err(e) = std::fs::write(&path, render_report(head, totals).to_json()) {
         log_warn_event("report-write-failed", trace_id, &e.to_string());
     }
 }

@@ -478,6 +478,10 @@ fn corrupt_cache_entries_are_evicted_not_served() {
     assert!(again.is_ok());
     assert_ne!(again.header("cache"), Some("hit"), "corrupt entry was served");
     assert_eq!(again.body, first.body);
+    // The eviction is counted where a scrape sees it (the counter lives
+    // in the process-global registry, which other tests share).
+    let evicted = stats_snapshot(&addr).counter("parhde_cache_corrupt_evicted_total");
+    assert!(evicted >= Some(1), "corrupt eviction not counted: {evicted:?}");
 
     server.drain();
     let _ = std::fs::remove_dir_all(&dir);

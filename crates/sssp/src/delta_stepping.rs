@@ -213,13 +213,11 @@ pub fn delta_stepping_with_stats(
         .map(|c| f64::from_bits(c.into_inner()))
         .collect();
     let reached = dist.iter().filter(|d| d.is_finite()).count();
-    if parhde_trace::enabled() {
-        parhde_trace::counter!("sssp.buckets_processed", stats.buckets_processed as u64);
-        parhde_trace::counter!("sssp.light_rounds", stats.light_rounds as u64);
-        parhde_trace::counter!("sssp.light_relaxations", stats.light_relaxations as u64);
-        parhde_trace::counter!("sssp.heavy_relaxations", stats.heavy_relaxations as u64);
-        parhde_trace::counter!("sssp.stale_entries", stats.stale_entries as u64);
-    }
+    parhde_trace::counter!("sssp.buckets_processed", stats.buckets_processed as u64);
+    parhde_trace::counter!("sssp.light_rounds", stats.light_rounds as u64);
+    parhde_trace::counter!("sssp.light_relaxations", stats.light_relaxations as u64);
+    parhde_trace::counter!("sssp.heavy_relaxations", stats.heavy_relaxations as u64);
+    parhde_trace::counter!("sssp.stale_entries", stats.stale_entries as u64);
     (SsspResult { dist, reached }, stats)
 }
 

@@ -163,6 +163,7 @@ mod tests {
                     depth: 0,
                 })],
             }],
+            ..Trace::default()
         };
         let text = to_string(&trace);
         validate(&text).unwrap();

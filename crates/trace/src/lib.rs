@@ -6,27 +6,28 @@
 //! This crate is the measurement substrate behind those numbers and every
 //! future performance PR:
 //!
-//! * **Spans** — hierarchical RAII intervals ([`span!`]) recorded into
-//!   per-thread buffers and merged into a per-run [`Trace`] by a
-//!   [`TraceSession`]. A session belongs to the thread that began it and
-//!   to the threads that enter it through a captured [`SessionRef`]; on a
-//!   thread that entered none, recording is a single thread-local read and
-//!   nothing else — kernels stay instrumented at all times with negligible
-//!   overhead.
+//! * **The run record** ([`Record`]) — phase times, counter sums, last
+//!   gauge values and warnings of one run, written once and read by every
+//!   view: `HdeStats`, the run report ([`report`]), the Figure-3 table
+//!   ([`phases`]) and the daemon's `STATS` histograms. Records belong to a
+//!   thread and nest: every pipeline call opens one inside the thread's
+//!   current record and adds its totals to it on close. Work forked off a
+//!   recording thread enters the record captured before the fork
+//!   ([`RecordRef`]); on a thread with no record, recording is a single
+//!   thread-local read and nothing else — kernels stay instrumented at
+//!   all times with negligible overhead.
 //! * **Counters and gauges** — typed work metrics ([`counter!`],
 //!   [`gauge!`]): edges scanned per BFS direction, Δ-stepping relaxations,
-//!   Gram-Schmidt projection counts, GEMM/SpMM FLOPs, frontier sizes, peak
-//!   RSS. Counters are deltas that sum; gauges are point samples.
-//! * **Sinks** — a human-readable phase-breakdown table reproducing the
-//!   paper's Figure-3 percentage splits ([`phases`]), an NDJSON event
-//!   stream ([`ndjson`]), a Chrome `trace_event` JSON export viewable in
-//!   `chrome://tracing` / [Perfetto](https://ui.perfetto.dev) ([`chrome`]),
-//!   and a machine-readable run report ([`report`]) that the bench harness
-//!   and CI diff across commits.
+//!   Gram-Schmidt projection counts, GEMM/SpMM FLOPs, frontier sizes.
+//!   Counters are deltas that sum; a record keeps each gauge's last sample.
+//! * **The timeline** — hierarchical RAII spans ([`span!`]) and every
+//!   event with its timestamp, kept only by a record a [`TraceSession`]
+//!   opened, merged into a [`Trace`] at the end. The Chrome `trace_event`
+//!   export ([`chrome`], viewable in `chrome://tracing` or
+//!   [Perfetto](https://ui.perfetto.dev)) and the NDJSON event stream
+//!   ([`ndjson`]) render it.
 //!
-//! The crate is dependency-free; every pipeline accumulates its phase
-//! times in a [`phases::PhaseAccumulator`], so they all feed the same
-//! vocabulary.
+//! The crate is dependency-free.
 //!
 //! # Example
 //!
@@ -40,6 +41,7 @@
 //!     }
 //! }
 //! let trace = session.finish();
+//! assert_eq!(trace.totals.counter("bfs.top_down_edges"), Some(128));
 //! let mut out = Vec::new();
 //! parhde_trace::chrome::write_chrome_trace(&trace, &mut out).unwrap();
 //! assert!(String::from_utf8(out).unwrap().contains("\"bfs.top_down\""));
@@ -47,7 +49,7 @@
 
 #![warn(missing_docs)]
 
-mod collector;
+mod record;
 mod session;
 
 pub mod chrome;
@@ -57,9 +59,9 @@ pub mod phases;
 pub mod registry;
 pub mod report;
 
-pub use collector::{
-    counter, current_session, enabled, gauge, span, warning, SessionGuard, SessionRef,
-    SpanGuard,
+pub use record::{
+    counter, current_record, enabled, gauge, phase, span, timeline_enabled, warning, Note,
+    PhaseGuard, Record, RecordGuard, RecordRef, SpanGuard, Totals,
 };
 pub use phases::PhaseAccumulator;
 pub use report::RunReport;
@@ -70,7 +72,7 @@ pub use session::{
 
 /// Opens a hierarchical span named by a `&'static str`; returns an RAII
 /// guard that closes the span when dropped. A no-op (and allocation-free)
-/// on a thread that has entered no [`TraceSession`].
+/// unless the thread's record keeps a timeline ([`TraceSession`]).
 ///
 /// ```
 /// let _g = parhde_trace::span!("dortho");
@@ -82,8 +84,9 @@ macro_rules! span {
     };
 }
 
-/// Adds a delta to a named counter, attributed to the innermost open span
-/// on the current thread. No-op when the thread has entered no session.
+/// Adds a delta to a named counter in the thread's record (on a timeline,
+/// attributed to the innermost open span). No-op when the thread records
+/// into no record.
 ///
 /// ```
 /// parhde_trace::counter!("gemm.flops", 1024);
@@ -96,7 +99,7 @@ macro_rules! counter {
 }
 
 /// Records a point sample of a named gauge (frontier size, bandwidth,
-/// RSS…). No-op when the thread has entered no session.
+/// RSS…). No-op when the thread records into no record.
 ///
 /// ```
 /// parhde_trace::gauge!("bfs.frontier", 4096.0);

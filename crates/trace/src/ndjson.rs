@@ -211,6 +211,7 @@ mod tests {
                     }),
                 ],
             }],
+            ..Trace::default()
         }
     }
 

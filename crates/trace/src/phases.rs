@@ -4,8 +4,8 @@
 //! insertion-ordered registry backed by an index map, so accumulating into
 //! an existing phase is O(1) — it is called once per BFS source (m pivots ×
 //! k phases over a run), which made the previous linear-scan registry in
-//! `parhde-util` quadratic in the phase count. Pipelines record their
-//! phase times in one (`HdeStats::phases`).
+//! `parhde-util` quadratic in the phase count. Every run record keeps its
+//! phase times in one ([`Totals::phases`](crate::Totals::phases)).
 //!
 //! [`render_breakdown`] prints the per-phase percentage table the paper's
 //! Figures 3, 5 and 6 plot.
@@ -15,7 +15,7 @@ use std::time::Duration;
 
 /// Accumulates named phase durations with first-occurrence ordering and
 /// O(1) accumulation per `add`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseAccumulator {
     entries: Vec<(String, Duration)>,
     index: HashMap<String, usize>,

@@ -1,20 +1,20 @@
 //! Sessions and the merged, resolved [`Trace`].
 //!
 //! A [`TraceSession`] brackets one run on the thread that begins it:
-//! `begin()` starts a session and enters it on the calling thread,
-//! `finish()` leaves it, drains every buffer recorded into it and resolves
-//! raw begin/end pairs into completed [`SpanEvent`]s with depth and
-//! parentage, attributing counters, gauges and warnings to the innermost
-//! span open on their thread at record time. Sessions are per thread, not
-//! per process: two threads can each trace their own run at once, and
-//! work a run forks onto other threads joins its session by entering the
-//! [`SessionRef`](crate::SessionRef) captured before the fork. The result
-//! is a plain data structure the sinks ([`crate::chrome`],
-//! [`crate::ndjson`], [`crate::report`]) serialize without touching global
-//! state — it is also directly constructible, which is how the golden-file
-//! exporter tests build deterministic traces.
+//! `begin()` opens a record that keeps a timeline and enters it on the
+//! calling thread, `finish()` leaves it, drains every timeline buffer and
+//! resolves raw begin/end pairs into completed [`SpanEvent`]s with depth
+//! and parentage, attributing counters, gauges and warnings to the
+//! innermost span open on their thread at record time. Sessions are per
+//! thread, not per process: two threads can each trace their own run at
+//! once, and work a run forks onto other threads joins its session by
+//! entering the [`RecordRef`](crate::RecordRef) captured before the fork.
+//! The result is a plain data structure the sinks ([`crate::chrome`],
+//! [`crate::ndjson`]) serialize without touching global state — it is
+//! also directly constructible, which is how the golden-file exporter
+//! tests build deterministic traces.
 
-use crate::collector::{Raw, SessionGuard, SessionRef};
+use crate::record::{Raw, Record, Totals};
 
 /// A completed span: a named interval with its nesting depth (0 = no
 /// enclosing span on that thread).
@@ -91,151 +91,56 @@ pub struct ThreadTrace {
     pub events: Vec<TraceEvent>,
 }
 
-/// The merged result of one tracing session.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The merged result of one tracing session: its record's totals and the
+/// timeline it asked for.
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Per-thread event streams, in thread-registration order.
     pub threads: Vec<ThreadTrace>,
+    /// The session's record: phases, counter sums, last gauge values and
+    /// warnings, including those of every record nested in it.
+    pub totals: Totals,
 }
 
 impl Trace {
-    /// Total seconds per span name, in first-appearance order (by thread,
-    /// then record order). Only *outermost* occurrences count: a span
-    /// nested under a same-named ancestor contributes nothing, so recursive
-    /// phases are not double-counted. These are the values the breakdown
-    /// sinks turn into Figure-3-style percentage splits.
-    pub fn phase_seconds(&self) -> Vec<(String, f64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut totals: std::collections::HashMap<String, f64> =
-            std::collections::HashMap::new();
-        for th in &self.threads {
-            // Reconstruct the ancestor stack from depths: a span at depth d
-            // replaces the stack entry at position d.
-            let mut stack: Vec<&str> = Vec::new();
-            for ev in &th.events {
-                if let TraceEvent::Span(s) = ev {
-                    stack.truncate(s.depth);
-                    let shadowed = stack.iter().any(|a| *a == s.name);
-                    stack.push(&s.name);
-                    if shadowed {
-                        continue;
-                    }
-                    let secs = s.end_ns.saturating_sub(s.begin_ns) as f64 / 1e9;
-                    if !totals.contains_key(&s.name) {
-                        order.push(s.name.clone());
-                    }
-                    *totals.entry(s.name.clone()).or_insert(0.0) += secs;
-                }
-            }
-        }
-        order
-            .into_iter()
-            .map(|n| {
-                let v = totals[&n];
-                (n, v)
-            })
-            .collect()
-    }
-
-    /// Sum of deltas per counter name across all threads, in
-    /// first-appearance order.
-    pub fn counter_totals(&self) -> Vec<(String, u64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut totals: std::collections::HashMap<String, u64> =
-            std::collections::HashMap::new();
-        for th in &self.threads {
-            for ev in &th.events {
-                if let TraceEvent::Counter(c) = ev {
-                    if !totals.contains_key(&c.name) {
-                        order.push(c.name.clone());
-                    }
-                    *totals.entry(c.name.clone()).or_insert(0) += c.delta;
-                }
-            }
-        }
-        order
-            .into_iter()
-            .map(|n| {
-                let v = totals[&n];
-                (n, v)
-            })
-            .collect()
-    }
-
-    /// The last sample of each gauge, in first-appearance order.
-    pub fn gauge_finals(&self) -> Vec<(String, f64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut last: std::collections::HashMap<String, f64> =
-            std::collections::HashMap::new();
-        for th in &self.threads {
-            for ev in &th.events {
-                if let TraceEvent::Gauge(g) = ev {
-                    if !last.contains_key(&g.name) {
-                        order.push(g.name.clone());
-                    }
-                    last.insert(g.name.clone(), g.value);
-                }
-            }
-        }
-        order
-            .into_iter()
-            .map(|n| {
-                let v = last[&n];
-                (n, v)
-            })
-            .collect()
-    }
-
-    /// All warnings across threads, in thread then record order.
-    pub fn warnings(&self) -> Vec<&WarningEvent> {
-        self.threads
-            .iter()
-            .flat_map(|t| {
-                t.events.iter().filter_map(|e| match e {
-                    TraceEvent::Warning(w) => Some(w),
-                    _ => None,
-                })
-            })
-            .collect()
-    }
-
-    /// Total number of resolved events.
+    /// Total number of resolved timeline events.
     pub fn num_events(&self) -> usize {
         self.threads.iter().map(|t| t.events.len()).sum()
     }
 }
 
-/// An active tracing session, entered on the thread that began it. A
-/// `begin` inside another session nests: the inner session records until
-/// it finishes or drops, then the outer one resumes. Not `Send`, since
-/// finishing restores the beginning thread's previous session.
+/// An active tracing session: a root record, entered on the thread that
+/// began it, that keeps a timeline besides its totals. A `begin` inside
+/// another record shadows it: the session records until it finishes or
+/// drops, then the outer record resumes, and the session's totals are not
+/// added to it. Not `Send`, since finishing restores the beginning
+/// thread's previous record.
 #[derive(Debug)]
 pub struct TraceSession {
-    session: SessionRef,
-    entered: SessionGuard,
+    record: Record,
 }
 
 impl TraceSession {
     /// Starts a fresh session, with its clock at zero, and enters it on the
     /// calling thread.
     pub fn begin() -> Self {
-        let session = SessionRef::start();
-        let entered = session.enter();
-        TraceSession { session, entered }
+        TraceSession { record: Record::traced() }
     }
 
-    /// Leaves the session, drains every thread's buffer, and resolves the
-    /// raw events into a [`Trace`]. Dropping a session unfinished discards
-    /// its events.
+    /// Leaves the session, drains every thread's timeline buffer, and
+    /// resolves the raw events into a [`Trace`]. Dropping a session
+    /// unfinished discards what it recorded.
     pub fn finish(self) -> Trace {
-        let TraceSession { session, entered } = self;
-        drop(entered);
-        let threads = session
-            .drain()
+        let timeline = self.record.timeline();
+        let totals = self.record.close();
+        let threads = timeline
+            .map(|t| t.drain())
+            .unwrap_or_default()
             .into_iter()
-            .map(|(tid, raw)| ThreadTrace { tid, events: resolve(raw) })
+            .enumerate()
+            .map(|(tid, raw)| ThreadTrace { tid: tid as u64, events: resolve(raw) })
             .collect();
-        Trace { threads }
+        Trace { threads, totals }
     }
 }
 
@@ -318,71 +223,29 @@ fn innermost(out: &[TraceEvent], open: &[usize]) -> Option<String> {
 mod tests {
     use super::*;
 
-    fn span(name: &str, begin: u64, end: u64, depth: usize) -> TraceEvent {
-        TraceEvent::Span(SpanEvent {
-            name: name.to_string(),
-            begin_ns: begin,
-            end_ns: end,
-            depth,
-        })
-    }
-
-    #[test]
-    fn phase_seconds_skips_recursive_double_count() {
-        let trace = Trace {
-            threads: vec![ThreadTrace {
-                tid: 0,
-                events: vec![
-                    span("a", 0, 1_000_000_000, 0),
-                    span("a", 100, 200, 1), // recursive: must not add
-                    span("b", 300, 500_000_300, 1),
-                ],
-            }],
-        };
-        let phases = trace.phase_seconds();
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].0, "a");
-        assert!((phases[0].1 - 1.0).abs() < 1e-9);
-        assert_eq!(phases[1].0, "b");
-        assert!((phases[1].1 - 0.5).abs() < 1e-9);
-    }
-
     #[test]
     fn counter_totals_sum_across_threads() {
-        let mk = |tid, delta| ThreadTrace {
-            tid,
-            events: vec![TraceEvent::Counter(CounterEvent {
-                name: "edges".into(),
-                delta,
-                t_ns: 0,
-                span: None,
-            })],
-        };
-        let trace = Trace { threads: vec![mk(0, 10), mk(1, 32)] };
-        assert_eq!(trace.counter_totals(), vec![("edges".to_string(), 42)]);
+        let session = TraceSession::begin();
+        crate::counter("edges", 10);
+        let captured = crate::current_record();
+        std::thread::spawn(move || {
+            let _entered = captured.enter();
+            crate::counter("edges", 32);
+        })
+        .join()
+        .unwrap();
+        let trace = session.finish();
+        assert_eq!(trace.totals.counters, vec![("edges", 42)]);
+        assert_eq!(trace.threads.len(), 2, "each thread keeps its own timeline");
     }
 
     #[test]
     fn gauge_finals_keep_last_sample() {
-        let trace = Trace {
-            threads: vec![ThreadTrace {
-                tid: 0,
-                events: vec![
-                    TraceEvent::Gauge(GaugeEvent {
-                        name: "frontier".into(),
-                        value: 1.0,
-                        t_ns: 0,
-                        span: None,
-                    }),
-                    TraceEvent::Gauge(GaugeEvent {
-                        name: "frontier".into(),
-                        value: 7.0,
-                        t_ns: 5,
-                        span: None,
-                    }),
-                ],
-            }],
-        };
-        assert_eq!(trace.gauge_finals(), vec![("frontier".to_string(), 7.0)]);
+        let session = TraceSession::begin();
+        crate::gauge("frontier", 1.0);
+        crate::gauge("frontier", 7.0);
+        let trace = session.finish();
+        assert_eq!(trace.totals.gauges, vec![("frontier", 7.0)]);
+        assert_eq!(trace.num_events(), 2, "the timeline keeps every sample");
     }
 }

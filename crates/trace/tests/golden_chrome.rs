@@ -60,6 +60,7 @@ fn golden_trace() -> Trace {
                 })],
             },
         ],
+        ..Trace::default()
     }
 }
 

@@ -35,7 +35,7 @@ fn worker_thread_spans_all_merge() {
     let session = TraceSession::begin();
     let handles: Vec<_> = (0..4)
         .map(|_| {
-            let captured = parhde_trace::current_session();
+            let captured = parhde_trace::current_record();
             std::thread::spawn(move || {
                 let _entered = captured.enter();
                 let _outer = parhde_trace::span!("worker");
@@ -64,8 +64,7 @@ fn worker_thread_spans_all_merge() {
         assert!(s.end_ns >= s.begin_ns);
     }
     // 4 × (10 + 1) items, regardless of which thread recorded what.
-    let totals = trace.counter_totals();
-    assert_eq!(totals, vec![("work.items".to_string(), 44)]);
+    assert_eq!(trace.totals.counters, vec![("work.items", 44)]);
 }
 
 #[test]
@@ -119,7 +118,7 @@ fn threads_spawned_before_finish_are_not_lost_after_drop() {
     // A thread that recorded and *exited* before finish() must still have
     // its buffer in the merge.
     let session = TraceSession::begin();
-    let captured = parhde_trace::current_session();
+    let captured = parhde_trace::current_record();
     std::thread::spawn(move || {
         let _entered = captured.enter();
         let _s = parhde_trace::span!("ephemeral");
@@ -158,13 +157,13 @@ fn a_thread_that_entered_no_session_records_nothing() {
     .unwrap();
     let trace = session.finish();
     assert_eq!(trace.threads.len(), 1, "the stray thread left a buffer");
-    assert_eq!(trace.counter_totals(), vec![("c.owner".to_string(), 1)]);
+    assert_eq!(trace.totals.counters, vec![("c.owner", 1)]);
 }
 
 #[test]
 fn re_entering_a_session_on_the_same_thread_adds_no_trace_thread() {
     let session = TraceSession::begin();
-    let captured = parhde_trace::current_session();
+    let captured = parhde_trace::current_record();
     std::thread::spawn(move || {
         for _ in 0..3 {
             let _entered = captured.enter();
@@ -175,7 +174,7 @@ fn re_entering_a_session_on_the_same_thread_adds_no_trace_thread() {
     .unwrap();
     let trace = session.finish();
     assert_eq!(trace.threads.len(), 1, "one buffer per (thread, session)");
-    assert_eq!(trace.counter_totals(), vec![("c.worker".to_string(), 3)]);
+    assert_eq!(trace.totals.counters, vec![("c.worker", 3)]);
 }
 
 #[test]
@@ -188,6 +187,101 @@ fn nested_sessions_restore_the_outer_one() {
     parhde_trace::counter!("c.outer", 1);
     let outer = outer.finish();
     assert!(!parhde_trace::enabled());
-    assert_eq!(inner.counter_totals(), vec![("c.inner".to_string(), 1)]);
-    assert_eq!(outer.counter_totals(), vec![("c.outer".to_string(), 2)]);
+    assert_eq!(inner.totals.counters, vec![("c.inner", 1)]);
+    assert_eq!(outer.totals.counters, vec![("c.outer", 2)]);
+}
+
+#[test]
+fn a_nested_record_adds_its_totals_to_the_enclosing_one() {
+    use parhde_trace::Record;
+    let outer = Record::open();
+    parhde_trace::counter!("c", 1);
+    parhde_trace::warning("first");
+    let inner = Record::open();
+    parhde_trace::counter!("c", 2);
+    parhde_trace::gauge!("g", 3.0);
+    parhde_trace::warning("second");
+    drop(parhde_trace::phase("p", "process.peak_rss_delta.p"));
+    let inner = inner.close();
+    parhde_trace::gauge!("g", 4.0);
+    let outer = outer.close();
+    assert!(!parhde_trace::enabled());
+
+    let messages = |w: &[parhde_trace::Note]| -> Vec<String> {
+        w.iter().map(|n| n.message().to_string()).collect()
+    };
+    assert_eq!(inner.counters, vec![("c", 2)]);
+    assert_eq!(inner.gauge("g"), Some(3.0));
+    assert_eq!(messages(&inner.warnings), ["second"]);
+    assert_eq!(inner.phases.iter().map(|(n, _)| n).collect::<Vec<_>>(), ["p"]);
+    // The enclosing record holds everything, in the order it happened.
+    assert_eq!(outer.counters, vec![("c", 3)]);
+    assert_eq!(outer.gauge("g"), Some(4.0), "the last sample wins");
+    assert_eq!(messages(&outer.warnings), ["first", "second"]);
+    assert_eq!(outer.phases.get("p"), inner.phases.get("p"));
+    // No timeline was asked for: no RSS samples.
+    assert_eq!(outer.counter("process.peak_rss_delta.p"), None);
+}
+
+#[test]
+fn only_a_session_keeps_a_timeline_and_nested_records_share_it() {
+    use parhde_trace::Record;
+    let plain = Record::open();
+    assert!(parhde_trace::enabled() && !parhde_trace::timeline_enabled());
+    drop(parhde_trace::span!("unseen"));
+    drop(plain.close());
+
+    let session = TraceSession::begin();
+    let nested = Record::open();
+    assert!(parhde_trace::timeline_enabled());
+    {
+        let _p = parhde_trace::phase("p", "process.peak_rss_delta.p");
+        parhde_trace::counter!("c.nested", 5);
+    }
+    let nested = nested.close();
+    let trace = session.finish();
+    assert_eq!(spans(&trace).iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["p"]);
+    assert_eq!(counters(&trace).iter().filter(|c| c.name == "c.nested").count(), 1);
+    assert_eq!(nested.counter("c.nested"), Some(5));
+    assert_eq!(trace.totals.counter("c.nested"), Some(5));
+    // On a timeline each phase also samples the peak RSS.
+    if parhde_trace::peak_rss_bytes().is_some() {
+        assert!(trace.totals.counter("process.peak_rss_delta.p").is_some());
+    }
+}
+
+#[test]
+fn warnings_come_back_as_the_value_they_were_recorded_from() {
+    #[derive(Debug, PartialEq)]
+    struct Degraded(u32);
+    impl std::fmt::Display for Degraded {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "degraded by {}", self.0)
+        }
+    }
+    let record = parhde_trace::Record::open();
+    parhde_trace::warning(Degraded(7));
+    let totals = record.close();
+    assert_eq!(totals.warnings.len(), 1);
+    assert_eq!(totals.warnings[0].message(), "degraded by 7");
+    assert_eq!(totals.warnings[0].get::<Degraded>(), Some(&Degraded(7)));
+    assert_eq!(totals.warnings[0].get::<String>(), None);
+}
+
+#[test]
+fn worker_counters_and_the_last_gauge_sample_reach_the_record() {
+    let record = parhde_trace::Record::open();
+    parhde_trace::gauge!("g", 1.0);
+    let captured = parhde_trace::current_record();
+    std::thread::spawn(move || {
+        let _entered = captured.enter();
+        parhde_trace::counter!("c", 2);
+        parhde_trace::gauge!("g", 2.0);
+    })
+    .join()
+    .unwrap();
+    parhde_trace::counter!("c", 1);
+    let totals = record.close();
+    assert_eq!(totals.counter("c"), Some(3));
+    assert_eq!(totals.gauge("g"), Some(2.0));
 }

@@ -33,7 +33,7 @@
 //! # Run context and panics
 //!
 //! Forked work runs under its submitter's [`RunCtx`](crate::supervisor::RunCtx):
-//! its budget and its trace session. A kernel therefore polls
+//! its budget and its run record. A kernel therefore polls
 //! [`should_stop`](crate::supervisor::should_stop) and records trace events
 //! inside a closure exactly as on the calling thread. A panic in forked
 //! work resumes on the submitter once every helper has left the fork; the

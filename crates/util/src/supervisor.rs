@@ -25,7 +25,7 @@
 //! A budget installed on one thread is invisible to the pool workers its
 //! kernels fork onto, and a worker may help jobs from several runs in
 //! turn. So the pool ([`crate::par`]) captures the submitter's [`RunCtx`]
-//! — its budget and its trace session — with every job it posts, and a
+//! — its budget and its run record — with every job it posts, and a
 //! worker [`RunCtx::enter`]s it for as long as it helps that job. Forked
 //! work therefore polls [`should_stop`] and records trace events as if it
 //! ran on the submitter, and no call site captures anything.
@@ -465,26 +465,26 @@ pub fn ambient_trip_memory() {
     with_installed(|c| c.record_trip(TRIP_MEMORY));
 }
 
-/// The calling thread's run context — its installed budget and its trace
-/// session — which the pool captures with every job so the forked work
+/// The calling thread's run context — its installed budget and its run
+/// record — which the pool captures with every job so the forked work
 /// polls and records into the run that forked it (see the module docs).
 /// Cheap to clone.
 #[derive(Clone)]
 pub struct RunCtx {
     budget: Option<Arc<BudgetCore>>,
-    trace: parhde_trace::SessionRef,
+    record: parhde_trace::RecordRef,
 }
 
 impl RunCtx {
-    /// Captures the calling thread's budget and trace session.
+    /// Captures the calling thread's budget and run record.
     pub fn capture() -> RunCtx {
         RunCtx {
             budget: BUDGET.with(|b| b.borrow().clone()),
-            trace: parhde_trace::current_session(),
+            record: parhde_trace::current_record(),
         }
     }
 
-    /// Makes the captured budget and trace session the calling thread's
+    /// Makes the captured budget and run record the calling thread's
     /// until the guard drops (also on unwind), which restores what the
     /// thread had before. An empty context is entered too: a worker that
     /// runs another run's job must not keep polling the budget its previous
@@ -492,16 +492,16 @@ impl RunCtx {
     pub fn enter(&self) -> Entered {
         Entered {
             _budget: install_core(self.budget.clone()),
-            _trace: self.trace.enter(),
+            _record: self.record.enter(),
         }
     }
 }
 
 /// Keeps a [`RunCtx`] entered; restores the thread's previous budget and
-/// trace session on drop.
+/// run record on drop.
 pub struct Entered {
     _budget: Installed,
-    _trace: parhde_trace::SessionGuard,
+    _record: parhde_trace::RecordGuard,
 }
 
 // ---------------------------------------------------------------------------

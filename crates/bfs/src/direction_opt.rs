@@ -162,10 +162,7 @@ pub fn bfs_direction_opt_into_f64<G: GraphStore>(
     out: &mut [f64],
 ) -> (usize, TraversalStats) {
     let (r, stats) = bfs_direction_opt(g, source);
-    assert_eq!(out.len(), r.dist.len(), "output column length mismatch");
-    for (o, &d) in out.iter_mut().zip(&r.dist) {
-        *o = if d == UNREACHED { f64::INFINITY } else { d as f64 };
-    }
+    crate::write_distances_f64(&r.dist, out);
     (r.reached, stats)
 }
 

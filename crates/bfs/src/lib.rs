@@ -59,6 +59,24 @@ pub mod top_down;
 /// Distance value for vertices not reached by the traversal.
 pub const UNREACHED: u32 = u32::MAX;
 
+/// Writes hop distances into an `f64` column of the embedding matrix,
+/// unreached vertices as `f64::INFINITY`. Fixed chunks are written in
+/// parallel, so the column's first-touch page faults spread over the pool
+/// instead of landing on one thread.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub(crate) fn write_distances_f64(dist: &[u32], out: &mut [f64]) {
+    use parhde_util::par::prelude::*;
+    const CHUNK: usize = 1 << 15;
+    assert_eq!(out.len(), dist.len(), "output column length mismatch");
+    out.par_chunks_mut(CHUNK).zip(dist.par_chunks(CHUNK)).for_each(|(out, dist)| {
+        for (o, &d) in out.iter_mut().zip(dist) {
+            *o = if d == UNREACHED { f64::INFINITY } else { d as f64 };
+        }
+    });
+}
+
 /// The result of a (single-source) BFS.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BfsResult {

@@ -62,10 +62,7 @@ pub fn bfs_serial<G: GraphStore>(g: &G, source: u32) -> BfsResult {
 /// vertices reached.
 pub fn bfs_serial_into_f64<G: GraphStore>(g: &G, source: u32, out: &mut [f64]) -> usize {
     let r = bfs_serial(g, source);
-    assert_eq!(out.len(), r.dist.len(), "output column length mismatch");
-    for (o, &d) in out.iter_mut().zip(&r.dist) {
-        *o = if d == UNREACHED { f64::INFINITY } else { d as f64 };
-    }
+    crate::write_distances_f64(&r.dist, out);
     r.reached
 }
 
@@ -142,6 +139,33 @@ mod tests {
         let reached = bfs_serial_into_f64(&g, 0, &mut col);
         assert_eq!(reached, 3);
         assert_eq!(col, vec![0.0, 1.0, 2.0, f64::INFINITY]);
+    }
+
+    #[test]
+    fn f64_columns_across_write_chunks_match_at_every_width() {
+        use crate::direction_opt::bfs_direction_opt_into_f64;
+        use parhde_util::threads::run_with_threads;
+        // A 100 000-vertex path plus 7 isolated vertices: distances span
+        // several parallel write chunks, unreached ones the last.
+        let n = 100_007;
+        let g = build_from_edges(n, (0..99_999u32).map(|v| (v, v + 1)).collect());
+        let want: Vec<u64> = bfs_serial(&g, 0)
+            .dist
+            .iter()
+            .map(|&d| if d == UNREACHED { f64::INFINITY } else { d as f64 }.to_bits())
+            .collect();
+        for threads in [1, 2, 4] {
+            let mut serial = vec![0.0; n];
+            let mut dopt = vec![0.0; n];
+            run_with_threads(threads, || {
+                assert_eq!(bfs_serial_into_f64(&g, 0, &mut serial), 100_000);
+                assert_eq!(bfs_direction_opt_into_f64(&g, 0, &mut dopt).0, 100_000);
+            });
+            for col in [&serial, &dopt] {
+                let got: Vec<u64> = col.iter().map(|x| x.to_bits()).collect();
+                assert!(got == want, "{threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -269,6 +269,14 @@ pub enum Warning {
         /// Number of vertices.
         n: usize,
     },
+    /// The supervisor's budget fit no spectral layout — memory admission
+    /// rejected the run, or every rung of the degraded-retry ladder gave
+    /// up on a budget trip — so vertices were placed on the deterministic
+    /// line instead (DESIGN.md §11).
+    BudgetSpent {
+        /// The budget that ran out, e.g. `"the 2000 ms deadline"`.
+        budget: String,
+    },
     /// A supervised rung failed on a budget trip and the run moved to the
     /// next (cheaper) rung of the degraded-retry ladder (DESIGN.md §11).
     LadderStep {
@@ -323,6 +331,10 @@ impl std::fmt::Display for Warning {
                 f,
                 "graph with {n} vertices is below the spectral minimum; \
                  produced a trivial line layout"
+            ),
+            Self::BudgetSpent { budget } => write!(
+                f,
+                "no spectral layout fit {budget}; produced a trivial line layout"
             ),
             Self::LadderStep { rung, cause } => write!(
                 f,

@@ -321,7 +321,9 @@ const SLICE_PHDE: f64 = 0.97;
 /// trivial line layout. Only *budget* trips (deadline, memory) descend the
 /// ladder; cancellation and every ordinary pipeline error return
 /// immediately. Each abandoned rung is recorded as one
-/// [`Warning::LadderStep`]. Every attempted rung writes `opts.checkpoint`
+/// [`Warning::LadderStep`], and the trivial rung as a
+/// [`Warning::BudgetSpent`] naming the budget that ran out. Every
+/// attempted rung writes `opts.checkpoint`
 /// after its BFS phase, so even an interrupted degraded run leaves a
 /// resumable checkpoint behind.
 ///
@@ -408,7 +410,8 @@ fn supervised<G: GraphStore>(
             }
             None => {
                 parhde_trace::counter!("supervisor.admission.rejected", 1);
-                return Ok(trivial(n, p, cfg.subspace));
+                let budget = format!("the {bytes}-byte memory budget");
+                return Ok(trivial(n, p, cfg.subspace, budget));
             }
         }
     }
@@ -421,6 +424,7 @@ fn supervised<G: GraphStore>(
         ("phde", SLICE_PHDE),
     ];
     let mut rung_cfg = cfg.clone();
+    let mut spent = String::from("the run budget");
     for (rung, slice) in rungs {
         // Specialize the configuration for this rung; a rung that cannot
         // change anything (or does not apply) is skipped silently.
@@ -470,9 +474,13 @@ fn supervised<G: GraphStore>(
                 match &e {
                     HdeError::DeadlineExceeded { .. } => {
                         parhde_trace::counter!("supervisor.trip.deadline", 1);
+                        if let Some(d) = opts.deadline {
+                            spent = format!("the {} ms deadline", d.as_millis());
+                        }
                     }
-                    HdeError::MemoryBudgetExceeded { .. } => {
+                    HdeError::MemoryBudgetExceeded { budget_bytes, .. } => {
                         parhde_trace::counter!("supervisor.trip.memory", 1);
+                        spent = format!("the {budget_bytes}-byte memory budget");
                     }
                     _ => {}
                 }
@@ -489,12 +497,13 @@ fn supervised<G: GraphStore>(
 
     // ---- Trivial rung (always succeeds, no budget needed) ----------------
     budget.disarm_deadline();
-    Ok(trivial(n, p, cfg.subspace))
+    Ok(trivial(n, p, cfg.subspace, spent))
 }
 
-/// The trivial rung: the line layout, recorded with its warning.
-fn trivial(n: usize, p: usize, s_requested: usize) -> Supervised {
-    warn(Warning::TrivialLayout { n });
+/// The trivial rung: the line layout, recorded with a warning that names
+/// the `budget` no spectral rung fit.
+fn trivial(n: usize, p: usize, s_requested: usize, budget: String) -> Supervised {
+    warn(Warning::BudgetSpent { budget });
     Supervised {
         coords: trivial_coords(n, p),
         stats: HdeStats { s_requested, ..HdeStats::default() },

@@ -78,7 +78,7 @@ fn zero_deadline_walks_the_ladder_to_trivial() {
         "every rung must be attempted and abandoned"
     );
     assert_eq!(sup.stats.warnings.len(), 5, "{:?}", sup.stats.warnings);
-    assert!(matches!(sup.stats.warnings[4], Warning::TrivialLayout { .. }));
+    assert!(matches!(sup.stats.warnings[4], Warning::BudgetSpent { .. }));
     // The layout is still usable: right shape, finite entries.
     assert_eq!(sup.coords.rows(), g.num_vertices());
     assert_eq!(sup.coords.cols(), 2);
@@ -234,7 +234,31 @@ fn memory_rejection_degrades_to_trivial_layout() {
         .stats
         .warnings
         .iter()
-        .any(|w| matches!(w, Warning::TrivialLayout { .. })));
+        .any(|w| matches!(w, Warning::BudgetSpent { .. })));
+}
+
+#[test]
+fn the_trivial_rung_names_the_budget_that_ran_out() {
+    // A graph far above the spectral minimum: only the budget can have
+    // sent it to the trivial rung, and its warning must say which.
+    let g = gen::grid2d(40, 40);
+    let cases = [
+        (
+            SuperviseOptions { deadline: Some(Duration::ZERO), ..SuperviseOptions::default() },
+            "the 0 ms deadline",
+        ),
+        (
+            SuperviseOptions { mem_budget_bytes: Some(1), ..SuperviseOptions::default() },
+            "the 1-byte memory budget",
+        ),
+    ];
+    for (opts, budget) in cases {
+        let sup = try_par_hde_nd_supervised(&g, &ParHdeConfig::default(), 2, &opts).unwrap();
+        assert_eq!(sup.rung, "trivial");
+        let last = sup.stats.warnings.last().expect("the trivial rung's warning").to_string();
+        assert!(last.contains(budget), "{last}");
+        assert!(!last.contains("spectral minimum"), "{last}");
+    }
 }
 
 #[test]

@@ -111,7 +111,7 @@ pub fn sum(x: &[f64]) -> f64 {
 /// chunked kernel, so a result depends on the fixed [`PAR_CHUNK`]
 /// partition alone, never on the schedule. A single chunk's partial is
 /// returned as is.
-fn ordered_sum(partials: &[f64]) -> f64 {
+pub(crate) fn ordered_sum(partials: &[f64]) -> f64 {
     match partials {
         [one] => *one,
         _ => partials.iter().sum(),
@@ -148,6 +148,67 @@ pub(crate) fn reduce_chunks_mut(
         .map(|(c, chunk)| partial(c * PAR_CHUNK..c * PAR_CHUNK + chunk.len(), chunk))
         .collect();
     ordered_sum(&partials)
+}
+
+/// A panel of equal-length columns cut once into the chunks
+/// [`reduce_chunks_mut`] cuts each column into, chunk-major, so that one
+/// task owns chunk `r` of every column: the panel passes of the DOrtho
+/// phase, which stream a shared vector chunk once for all the columns.
+pub(crate) struct ChunkedPanel<'a> {
+    width: usize,
+    chunks: Vec<(Range<usize>, Vec<&'a mut [f64]>)>,
+}
+
+impl<'a> ChunkedPanel<'a> {
+    /// Cuts the `width` columns of `rows` rows stored one after another in
+    /// `panel`.
+    ///
+    /// # Panics
+    /// Panics if `panel` holds fewer than `width · rows` entries.
+    pub(crate) fn new(mut panel: &'a mut [f64], rows: usize, width: usize) -> Self {
+        // The partition of `reduce_chunks_mut`: one chunk (empty columns
+        // included) when it fits.
+        let size = if rows <= PAR_CHUNK { rows.max(1) } else { PAR_CHUNK };
+        let mut chunks: Vec<_> = (0..rows.max(1))
+            .step_by(size)
+            .map(|lo| (lo..(lo + size).min(rows), Vec::with_capacity(width)))
+            .collect();
+        for _ in 0..width {
+            let (mut col, rest) = std::mem::take(&mut panel).split_at_mut(rows);
+            panel = rest;
+            for (r, pieces) in &mut chunks {
+                let (piece, tail) = std::mem::take(&mut col).split_at_mut(r.len());
+                col = tail;
+                pieces.push(piece);
+            }
+        }
+        Self { width, chunks }
+    }
+
+    /// Number of columns.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// [`reduce_chunks_mut`] on every column at once: `partial(r, u, c)`
+    /// gets chunk `r` of column `u`, and column `u`'s result is bitwise the
+    /// one `reduce_chunks_mut` gives for `|r, c| partial(r, u, c)` on that
+    /// column alone. A task runs its chunk's columns in order.
+    pub(crate) fn reduce(
+        &mut self,
+        partial: impl Fn(Range<usize>, usize, &mut [f64]) -> f64 + Sync,
+    ) -> Vec<f64> {
+        let partials: Vec<Vec<f64>> = self
+            .chunks
+            .par_iter_mut()
+            .map(|(r, cols)| {
+                cols.iter_mut().enumerate().map(|(u, c)| partial(r.clone(), u, c)).collect()
+            })
+            .collect();
+        (0..self.width)
+            .map(|u| ordered_sum(&partials.iter().map(|p| p[u]).collect::<Vec<_>>()))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -70,15 +70,25 @@ impl std::fmt::Display for LinalgError {
 
 impl std::error::Error for LinalgError {}
 
+/// Entries per task of [`first_non_finite`]'s scan.
+const SCAN_CHUNK: usize = 1 << 16;
+
 /// Returns the (column, row) of the first non-finite entry, scanning
 /// column-major — i.e. in the order the BFS/DOrtho phases produced the
 /// data — or `None` if the matrix is entirely finite.
+///
+/// Fixed chunks are scanned in parallel, and the lowest chunk holding a
+/// bad entry answers, so the result is the serial scan's at any width.
 pub fn first_non_finite(m: &ColMajorMatrix) -> Option<(usize, usize)> {
-    let rows = m.rows();
-    m.data()
-        .iter()
-        .position(|x| !x.is_finite())
-        .map(|idx| (idx / rows.max(1), idx % rows.max(1)))
+    use parhde_util::par::prelude::*;
+    let rows = m.rows().max(1);
+    let scan = m.data().par_chunks(SCAN_CHUNK).enumerate().try_for_each(|(c, chunk)| {
+        match chunk.iter().position(|x| !x.is_finite()) {
+            Some(i) => Err(c * SCAN_CHUNK + i),
+            None => Ok(()),
+        }
+    });
+    scan.err().map(|idx| (idx / rows, idx % rows))
 }
 
 /// Guards a whole matrix: `Err(NonFinite)` naming `phase` and the first
@@ -115,6 +125,35 @@ mod tests {
         m.set(2, 0, f64::INFINITY);
         assert_eq!(first_non_finite(&m), Some((0, 2)));
         assert!(check_matrix_finite(&ColMajorMatrix::zeros(2, 2), "x").is_ok());
+    }
+
+    #[test]
+    fn parallel_scan_reports_the_first_bad_entry_at_every_width() {
+        use parhde_util::threads::run_with_threads;
+        // 3 columns spanning 5 scan chunks; bad entries in chunks 1, 3
+        // and 4, so later chunks hold bad entries too.
+        let rows = 2 * SCAN_CHUNK - 7;
+        let mut m = ColMajorMatrix::zeros(rows, 3);
+        assert_eq!(first_non_finite(&m), None);
+        let bad = [
+            (0, SCAN_CHUNK + 3, f64::NAN),
+            (1, SCAN_CHUNK + 1, f64::INFINITY),
+            (2, 5, f64::NEG_INFINITY),
+        ];
+        for (col, row, value) in bad.into_iter().rev() {
+            m.set(row, col, value);
+            let serial = m.data().iter().position(|x| !x.is_finite()).unwrap();
+            for threads in [1, 2, 4] {
+                let got = run_with_threads(threads, || first_non_finite(&m));
+                assert_eq!(got, Some((serial / rows, serial % rows)), "{threads} threads");
+                assert_eq!(got, Some((col, row)), "{threads} threads");
+            }
+        }
+        let err = check_matrix_finite(&m, "dortho").unwrap_err();
+        assert_eq!(
+            err,
+            LinalgError::NonFinite { phase: "dortho", column: 0, row: SCAN_CHUNK + 3 }
+        );
     }
 
     #[test]

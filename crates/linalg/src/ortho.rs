@@ -13,10 +13,11 @@
 //!   can run *coupled* with BFS (each new distance vector orthogonalized on
 //!   arrival). [`IncrementalMgs`] makes each projection a single pass over
 //!   `s_i` — the axpy fused with the next coefficient's dot, denominators
-//!   cached when a column is kept — yet stays bit-identical to the
-//!   textbook dot, dot, axpy loop, because every chunk makes the same
-//!   kernel calls in the same order and the partials share one ordered
-//!   reduction.
+//!   cached when a column is kept — and [`mgs`] applies each earlier
+//!   column's projection to a whole panel of 8 columns per pass over it.
+//!   Both stay bit-identical to the textbook dot, dot, axpy loop, because
+//!   every chunk makes the same kernel calls in the same order and the
+//!   partials share one ordered reduction.
 //! * **CGS** (Classical Gram-Schmidt): compute **all** coefficients against
 //!   the earlier columns with one matrix-vector product, then apply them
 //!   with a second — BLAS-2. Fewer, bigger kernels ⇒ consistently ~2–3×
@@ -31,10 +32,11 @@
 //! Plain orthogonalization is the `d = None` case; passing the degree
 //! vector gives D-orthogonalization (the paper's §4.5.1 "trivial change").
 
-use crate::backend::{self, Family};
-use crate::blas1::{dot, dot_weighted, norm2, reduce_chunks_mut, scale};
+use crate::backend::{self, Family, Kernels};
+use crate::blas1::{dot, dot_weighted, norm2, reduce_chunks_mut, scale, ChunkedPanel};
 use crate::dense::ColMajorMatrix;
 use crate::error::{check_matrix_finite, LinalgError};
+use std::ops::Range;
 
 /// The paper's degeneracy threshold: drop `s_i` when `‖s_i‖ ≤ 10⁻³`
 /// (Algorithm 3 line 12).
@@ -61,32 +63,72 @@ pub struct OrthoOutcome {
 /// explicit rather than assumed 1, so the procedure is correct even before
 /// normalization.
 ///
-/// Each projection is **one** pass over `s_i` (see [`IncrementalMgs`]):
-/// the axpy fused with the next projection's numerator, the denominator
-/// cached from when `s_j` was kept. The three-pass textbook loop (two
-/// D-dots, then the axpy) streams 8 vectors per projection; this streams
-/// 5, with the same kernel calls on the same chunks in the same order, so
-/// the result is bit-identical to it.
+/// Columns go in panels of [`PANEL`]. Every column kept before a panel
+/// but the last is streamed **once** for the whole panel: chunk by chunk,
+/// its projection is applied to each panel column and the next kept
+/// column's numerator taken from the updated chunk while it is in cache.
+/// [`IncrementalMgs`] then finishes the panel one column at a time: the
+/// last prefix projection (whose fused reduction needs the panel's own
+/// first kept column), the projections onto the panel's earlier kept
+/// columns, and the drop/normalize rules. Per projection a panel column
+/// streams about 2 + 3/8 vectors — itself, read and written, plus its
+/// share of the kept column, the next one and `d` — where one column at a
+/// time streams 5 and the textbook dot, dot, axpy loop 8. Every column
+/// gets the same projections in the same order, with the same kernel calls
+/// on the same chunks and the same ordered reductions, so the result is
+/// bit-identical to both.
 ///
 /// # Panics
 /// Panics if `d` has the wrong length or `tol` is negative.
 pub fn mgs(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> OrthoOutcome {
     let _span = parhde_trace::span!("dortho.mgs");
-    let cols = s.cols();
+    panel_loop(s, d, tol, mgs_prefix)
+}
+
+/// Panel width of [`mgs`] and [`bcgs2`]: each column kept before a panel
+/// is read once per panel instead of once per panel column, while the
+/// panel's chunks (8 columns of `PAR_CHUNK` rows, 1 MB) stay in cache
+/// beside the kept columns' — and, for BCGS2, the block projections are
+/// rank-`k` updates of an `n × 8` panel.
+const PANEL: usize = 8;
+
+/// The panel loop of [`mgs`] and [`bcgs2`]: panels of [`PANEL`] columns,
+/// each projected first against the columns kept before it by `prefix`
+/// (the one step the two procedures do differently), then finished column
+/// by column by one [`IncrementalMgs`], which applies the drop/normalize
+/// rules. `prefix` applies every projection onto the earlier kept columns,
+/// or all but the last and returns that one's numerator for each panel
+/// column, for the in-panel pass to apply first. Kept columns stay at
+/// their physical index during the pass; the matrix is compacted once at
+/// the end.
+fn panel_loop(
+    s: &mut ColMajorMatrix,
+    d: Option<&[f64]>,
+    tol: f64,
+    mut prefix: impl FnMut(&mut ColMajorMatrix, &IncrementalMgs, Range<usize>) -> Option<Vec<f64>>,
+) -> OrthoOutcome {
     let mut steps = IncrementalMgs::new(d, tol);
+    if let Some(w) = d {
+        assert_eq!(w.len(), s.rows(), "weight vector length mismatch");
+    }
+    let cols = s.cols();
     let mut dropped = Vec::new();
-    // Kept columns stay at their original physical index during the pass;
-    // the matrix is compacted once at the end via retain_columns.
+    let (mut from, mut numerators) = (0, None);
     for i in 0..cols {
-        // Cooperative cancellation point (once per column): a tripped run
-        // budget leaves the remaining columns unorthogonalized and reports
-        // them dropped; the caller discards the outcome at its next phase
-        // boundary.
+        // Cooperative cancellation point (once per column, the first of a
+        // panel before its prefix step): a tripped run budget leaves the
+        // remaining columns unorthogonalized and reports them dropped; the
+        // caller discards the outcome at its next phase boundary.
         if parhde_util::supervisor::should_stop() {
             dropped.extend(i..cols);
             break;
         }
-        if !steps.step(s, i) {
+        if i % PANEL == 0 {
+            numerators = prefix(s, &steps, i..(i + PANEL).min(cols));
+            from = steps.kept.len() - usize::from(numerators.is_some());
+        }
+        let numerator = numerators.as_ref().map(|acc| acc[i % PANEL]);
+        if !steps.step_from(s, i, from, numerator) {
             dropped.push(i);
         }
     }
@@ -97,6 +139,35 @@ pub fn mgs(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> OrthoOutcome 
     OrthoOutcome { kept, dropped }
 }
 
+/// MGS's prefix step: the first numerators, then every projection onto
+/// the columns kept before the panel but the last, each kept column
+/// streamed once for all panel columns. The last projection's pass ends in
+/// the numerator of the panel's first kept column, which only the
+/// in-panel pass knows, so it is left to [`IncrementalMgs`].
+fn mgs_prefix(
+    s: &mut ColMajorMatrix,
+    steps: &IncrementalMgs,
+    panel: Range<usize>,
+) -> Option<Vec<f64>> {
+    let last = steps.kept.len().checked_sub(1)?;
+    let (rows, d) = (s.rows(), steps.d);
+    let (prefix, cols) = s.prefix_and_panel_mut(panel.start, panel.end);
+    let col = |t: usize| {
+        let j = steps.kept[t];
+        &prefix[j * rows..(j + 1) * rows]
+    };
+    parhde_trace::counter!("dortho.projections", (last * panel.len()) as u64);
+    let mut cols = ChunkedPanel::new(cols, rows, panel.len());
+    let mut acc = project_panel(&mut cols, None, col(0), d);
+    for t in 0..last {
+        let den = steps.dens[t];
+        let alphas: Vec<f64> = acc.iter().map(|&a| -a / den).collect();
+        let axpy = (den > 0.0).then_some((alphas.as_slice(), col(t)));
+        acc = project_panel(&mut cols, axpy, col(t + 1), d);
+    }
+    Some(acc)
+}
+
 /// Incremental Modified Gram-Schmidt: orthogonalizes the columns of one
 /// matrix one at a time, in ascending order, against the columns it kept
 /// before. It holds the kept columns (by physical index) and each kept
@@ -104,8 +175,8 @@ pub fn mgs(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> OrthoOutcome 
 /// a kept column never changes again, so recomputing it per projection
 /// (as the textbook loop does) only re-reads two vectors.
 ///
-/// This is the step behind [`mgs`], BCGS2's in-panel pass, and the
-/// *coupled* BFS + D-orthogonalization mode (§4.4: the default MGS
+/// This is the in-panel pass of [`mgs`] and [`bcgs2`], and the step of
+/// the *coupled* BFS + D-orthogonalization mode (§4.4: the default MGS
 /// procedure "can also be executed with a coupled BFS and
 /// D-orthogonalization steps"), where each distance vector is
 /// orthogonalized the moment its BFS finishes.
@@ -151,6 +222,20 @@ impl<'d> IncrementalMgs<'d> {
     /// Panics if `i` is out of range or not above every kept index, or if
     /// `d` has the wrong length.
     pub fn step(&mut self, s: &mut ColMajorMatrix, i: usize) -> bool {
+        self.step_from(s, i, 0, None)
+    }
+
+    /// [`step`](Self::step) on a column whose projections onto the first
+    /// `from` kept columns are applied already. `numerator`, when given, is
+    /// what the pass that applied the last of them took from the column:
+    /// the next projection's numerator, or `‖s_i‖²` if none is left.
+    fn step_from(
+        &mut self,
+        s: &mut ColMajorMatrix,
+        i: usize,
+        from: usize,
+        numerator: Option<f64>,
+    ) -> bool {
         let rows = s.rows();
         if let Some(w) = self.d {
             assert_eq!(w.len(), rows, "weight vector length mismatch");
@@ -159,23 +244,20 @@ impl<'d> IncrementalMgs<'d> {
             self.kept.last().is_none_or(|&j| j < i),
             "columns must be stepped in ascending order"
         );
-        parhde_trace::counter!("dortho.projections", self.kept.len() as u64);
+        parhde_trace::counter!("dortho.projections", (self.kept.len() - from) as u64);
         let d = self.d;
         let (prefix, ci) = s.prefix_and_col_mut(i);
         let col = |j: usize| &prefix[j * rows..(j + 1) * rows];
+        let next = |t: usize| self.kept.get(t).map(|&j| col(j));
         // `acc` is the next projection's numerator ⟨s_j, s_i⟩_D, and after
         // the last projection ‖s_i‖².
-        let mut acc = match self.kept.first() {
-            Some(&j) => match d {
-                Some(w) => dot_weighted(col(j), w, ci),
-                None => dot(col(j), ci),
-            },
-            None => dot(ci, ci),
+        let mut acc = match numerator {
+            Some(acc) => acc,
+            None => project(None, next(from), d, ci),
         };
-        for (t, (&j, &den)) in self.kept.iter().zip(&self.dens).enumerate() {
-            let alpha = (den > 0.0).then(|| -acc / den);
-            let next = self.kept.get(t + 1).map(|&k| col(k));
-            acc = project(alpha, col(j), next, d, ci);
+        for (t, (&j, &den)) in self.kept.iter().zip(&self.dens).enumerate().skip(from) {
+            let axpy = (den > 0.0).then(|| (-acc / den, col(j)));
+            acc = project(axpy, next(t + 1), d, ci);
         }
         let norm = acc.sqrt();
         if norm <= self.tol {
@@ -187,34 +269,67 @@ impl<'d> IncrementalMgs<'d> {
     }
 }
 
-/// One projection pass over `ci`: `ci ← ci + α·cj` (skipped when the
-/// denominator was not positive), then the reduction of the updated
-/// vector against `next` — `nextᵀ D ci`, or `ciᵀ ci` when `next` is
-/// `None`.
+/// One projection pass over `ci`: `ci ← ci + α·cj` when `axpy` is
+/// `Some((α, cj))` (`None` when the denominator was not positive, or for
+/// a column's first pass), then the reduction of the updated vector
+/// against `next` — `nextᵀ D ci`, or `ciᵀ ci` when `next` is `None`.
 fn project(
-    alpha: Option<f64>,
-    cj: &[f64],
+    axpy: Option<(f64, &[f64])>,
     next: Option<&[f64]>,
     d: Option<&[f64]>,
     ci: &mut [f64],
 ) -> f64 {
     let be = backend::active();
-    // Counted as the separate axpy and dot calls would count.
-    let n = ci.len() as u64;
-    if alpha.is_some() {
-        backend::count(Family::Blas1, n);
-    }
-    backend::count(Family::Blas1, n);
-    reduce_chunks_mut(ci, |r, c| {
-        if let Some(alpha) = alpha {
-            be.axpy_chunk(alpha, &cj[r.clone()], c);
-        }
-        match (next, d) {
-            (Some(x), Some(w)) => be.dot_weighted_chunk(&x[r.clone()], &w[r], c),
-            (Some(x), None) => be.dot_chunk(&x[r], c),
-            (None, _) => be.dot_chunk(c, c),
-        }
+    count_projection(axpy.is_some(), ci.len());
+    reduce_chunks_mut(ci, |r, c| project_chunk(be, axpy, next, d, r, c))
+}
+
+/// [`project`] on every column of a panel at once, streaming `cj`, `next`
+/// and `d` once for all of them: column `u` gets `α = alphas[u]` (no
+/// column gets an axpy when `axpy` is `None`). Each column's result is
+/// bitwise what [`project`] gives on it alone.
+fn project_panel(
+    cols: &mut ChunkedPanel<'_>,
+    axpy: Option<(&[f64], &[f64])>,
+    next: &[f64],
+    d: Option<&[f64]>,
+) -> Vec<f64> {
+    let be = backend::active();
+    count_projection(axpy.is_some(), next.len() * cols.width());
+    cols.reduce(|r, u, c| {
+        let axpy = axpy.map(|(alphas, cj)| (alphas[u], cj));
+        project_chunk(be, axpy, Some(next), d, r, c)
     })
+}
+
+/// Counts a projection pass over `n` entries as the separate axpy and dot
+/// calls would count.
+fn count_projection(axpy: bool, n: usize) {
+    if axpy {
+        backend::count(Family::Blas1, n as u64);
+    }
+    backend::count(Family::Blas1, n as u64);
+}
+
+/// The chunk body of a projection pass: `c` is rows `r` of the updated
+/// vector.
+#[inline]
+fn project_chunk(
+    be: &dyn Kernels,
+    axpy: Option<(f64, &[f64])>,
+    next: Option<&[f64]>,
+    d: Option<&[f64]>,
+    r: Range<usize>,
+    c: &mut [f64],
+) -> f64 {
+    if let Some((alpha, cj)) = axpy {
+        be.axpy_chunk(alpha, &cj[r.clone()], c);
+    }
+    match (next, d) {
+        (Some(x), Some(w)) => be.dot_weighted_chunk(&x[r.clone()], &w[r], c),
+        (Some(x), None) => be.dot_chunk(&x[r], c),
+        (None, _) => be.dot_chunk(c, c),
+    }
 }
 
 /// The last pass of a kept column: `ci ← ci·inv_norm`, then its own
@@ -346,23 +461,19 @@ pub fn cgs(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> OrthoOutcome 
     OrthoOutcome { kept, dropped }
 }
 
-/// Panel width for [`bcgs2`]: wide enough that the block projections are
-/// genuine BLAS-3 (rank-`k` updates against an `n × PANEL` panel), small
-/// enough that a panel of 20 000-row columns stays cache-resident.
-const BCGS2_PANEL: usize = 8;
-
 /// In-place **block** Classical Gram-Schmidt with reorthogonalization
 /// (BCGS2) — the BLAS-3 member of the Table 7 family.
 ///
-/// Columns are processed in panels of [`BCGS2_PANEL`]. Each panel is
-/// projected against the whole kept prefix with **two** block passes (the
-/// "twice is enough" reorthogonalization rule, which restores the
-/// orthogonality that single-pass classical GS loses on ill-conditioned
-/// input), then the panel's columns are orthogonalized among themselves
-/// with an [`IncrementalMgs`] pass, applying the usual drop/normalize
-/// rules. Where CGS issues two fused GEMVs per *column*, BCGS2 issues two
-/// GEMM-shaped passes per *panel* — `O(s/panel)` big kernels total, with
-/// each kept-prefix column read once per panel instead of once per column.
+/// Columns are processed in panels of [`PANEL`], on [`mgs`]'s panel loop.
+/// Each panel is projected against the whole kept prefix with **two**
+/// block passes (the "twice is enough" reorthogonalization rule, which
+/// restores the orthogonality that single-pass classical GS loses on
+/// ill-conditioned input), then the panel's columns are orthogonalized
+/// among themselves by the loop's [`IncrementalMgs`] pass, applying the
+/// usual drop/normalize rules. Where CGS runs two fused GEMVs per
+/// *column*, BCGS2 runs two GEMM-shaped passes per *panel* —
+/// `O(s/panel)` big kernels total, with each kept-prefix column read once
+/// per panel instead of once per column.
 ///
 /// Both block passes use the same deterministic fixed-chunk ordered
 /// reduction as [`cgs`], so results are independent of thread count.
@@ -371,24 +482,10 @@ const BCGS2_PANEL: usize = 8;
 /// # Panics
 /// Panics if `d` has the wrong length or `tol` is negative.
 pub fn bcgs2(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> OrthoOutcome {
-    assert!(tol >= 0.0, "tolerance must be non-negative");
-    if let Some(w) = d {
-        assert_eq!(w.len(), s.rows(), "weight vector length mismatch");
-    }
     let _span = parhde_trace::span!("dortho.bcgs2");
-    let cols = s.cols();
-    let mut kept: Vec<usize> = Vec::with_capacity(cols);
-    let mut dens: Vec<f64> = Vec::with_capacity(cols);
-    let mut dropped = Vec::new();
-    let mut p0 = 0;
-    while p0 < cols {
-        // Cooperative cancellation point (once per panel), as in `mgs`.
-        if parhde_util::supervisor::should_stop() {
-            dropped.extend(p0..cols);
-            break;
-        }
-        let p1 = (p0 + BCGS2_PANEL).min(cols);
+    panel_loop(s, d, tol, |s, steps, panel| {
         parhde_trace::counter!("dortho.bcgs2.panels", 1);
+        let kept = steps.kept();
         // One block-projection pass against the kept prefix, plus a second
         // (the "twice is enough" reorthogonalization) only for panels the
         // first pass nearly annihilated — selective reorthogonalization.
@@ -403,41 +500,35 @@ pub fn bcgs2(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> OrthoOutcom
         // schedule, so results stay thread-count independent.
         if !kept.is_empty() {
             const REORTH_RATIO: f64 = 1e-4;
+            // The cached s_jᵀ D s_j are the block denominators; a plain
+            // pass divides by 1, since a kept column has unit 2-norm.
+            let unit: Vec<f64>;
+            let dens = match d {
+                Some(_) => &steps.dens[..],
+                None => {
+                    unit = vec![1.0; kept.len()];
+                    &unit[..]
+                }
+            };
             let energy = |s: &ColMajorMatrix, i: usize| match d {
                 Some(w) => dot_weighted(s.col(i), w, s.col(i)),
                 None => dot(s.col(i), s.col(i)),
             };
-            let before: Vec<f64> = (p0..p1).map(|i| energy(s, i)).collect();
-            block_project(s, &kept, &dens, d, p0, p1);
-            let lossy = (p0..p1)
+            let before: Vec<f64> = panel.clone().map(|i| energy(s, i)).collect();
+            block_project(s, kept, dens, d, panel.start, panel.end);
+            let lossy = panel
+                .clone()
                 .zip(&before)
                 .any(|(i, &b)| b > 0.0 && energy(s, i) < REORTH_RATIO * b);
             if lossy {
                 parhde_trace::counter!("dortho.bcgs2.reorth_panels", 1);
-                block_project(s, &kept, &dens, d, p0, p1);
+                block_project(s, kept, dens, d, panel.start, panel.end);
             }
         }
-        // Intra-panel: the panel is now orthogonal to the prefix, so an
-        // incremental MGS pass over the panel's own survivors finishes the
-        // job and applies the drop/normalize rules.
-        let mut panel = IncrementalMgs::new(d, tol);
-        for i in p0..p1 {
-            if !panel.step(s, i) {
-                dropped.push(i);
-            }
-        }
-        kept.extend_from_slice(&panel.kept);
-        match d {
-            // The step's cached s_iᵀ D s_i is the later block denominator.
-            Some(_) => dens.extend_from_slice(&panel.dens),
-            None => dens.extend(panel.kept.iter().map(|_| 1.0)), // unit 2-norm ⇒ sᵀs = 1
-        }
-        p0 = p1;
-    }
-    s.retain_columns(&kept);
-    parhde_trace::counter!("dortho.kept_columns", kept.len() as u64);
-    parhde_trace::counter!("dortho.dropped_columns", dropped.len() as u64);
-    OrthoOutcome { kept, dropped }
+        // The panel is now orthogonal to the prefix: the in-panel pass
+        // projects only onto the panel's own survivors.
+        None
+    })
 }
 
 /// One BCGS2 block projection: `S[:, p0..p1] ← S[:, p0..p1] − Q·Ĉ` with

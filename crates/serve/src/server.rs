@@ -1086,6 +1086,7 @@ fn handle_layout_inner(
         .unwrap_or(shared.cfg.default_deadline);
 
     // ---- Resolve the graph ----------------------------------------------
+    let resolving = Instant::now();
     let resolved = match resolve_graph(shared, req) {
         Ok(g) => g,
         Err(msg) => {
@@ -1115,7 +1116,7 @@ fn handle_layout_inner(
                 );
             }
             layout_resolved(
-                shared, &g, stream, accepted, trace_id, p, deadline, subspace, seed,
+                shared, &g, stream, accepted, resolving, trace_id, p, deadline, subspace, seed,
                 no_cache, hold_ms,
             )
         }
@@ -1134,7 +1135,7 @@ fn handle_layout_inner(
                 .gauge("parhde_graph_compression_ratio")
                 .set(g.compression_ratio());
             let resp = layout_resolved(
-                shared, &g, stream, accepted, trace_id, p, deadline, subspace, seed,
+                shared, &g, stream, accepted, resolving, trace_id, p, deadline, subspace, seed,
                 no_cache, hold_ms,
             );
             // Decode-buffer telemetry: how much varint decoding this
@@ -1148,13 +1149,16 @@ fn handle_layout_inner(
 }
 
 /// The storage-generic tail of a layout request: config clamp, cache
-/// lookup, shared-budget admission, and the supervised run.
+/// lookup, shared-budget admission, and the supervised run. The deadline
+/// runs from `accepted`; the worker began resolving the graph at
+/// `resolving`.
 #[allow(clippy::too_many_arguments)]
 fn layout_resolved<G: GraphStore>(
     shared: &Arc<Shared>,
     g: &G,
     stream: &TcpStream,
     accepted: Instant,
+    resolving: Instant,
     trace_id: &str,
     p: usize,
     deadline: Duration,
@@ -1195,12 +1199,18 @@ fn layout_resolved<G: GraphStore>(
         cfg.seed = seed;
     }
 
-    // ---- Deadline already burned in the queue? ---------------------------
+    // ---- Deadline already spent before the run? --------------------------
+    // Name the step that spent it: the wait for a worker, or resolving the
+    // graph (generating or parsing it can outlast a short deadline).
     let hard_deadline = accepted + deadline;
     if Instant::now() >= hard_deadline {
         shared.metrics.layout_timeout.inc();
-        return Response::new(proto::TIMEOUT, "deadline exhausted in queue")
-            .with("deadline-ms", deadline.as_millis());
+        let reason = if resolving >= hard_deadline {
+            "deadline exhausted in queue"
+        } else {
+            "deadline exhausted resolving the graph"
+        };
+        return Response::new(proto::TIMEOUT, reason).with("deadline-ms", deadline.as_millis());
     }
 
     // ---- Cache lookup ----------------------------------------------------

@@ -179,6 +179,32 @@ fn byte_drip_exhausts_the_frame_budget_with_a_408() {
 }
 
 #[test]
+fn a_deadline_spent_resolving_the_graph_is_not_blamed_on_the_queue() {
+    // Time what the worker does before the run — generate the grid and
+    // take its largest component — and give the request a quarter of it:
+    // an idle daemon picks the request up at once, so resolving the graph
+    // spends the deadline, not the queue. Optimized builds get a larger
+    // grid, so the deadline stays well above a worker's pick-up time.
+    let side = if cfg!(debug_assertions) { 600 } else { 1500 };
+    let t0 = Instant::now();
+    let g = parhde_graph::gen::grid2d(side, side);
+    let _ = parhde_graph::prep::largest_component(&g);
+    let deadline_ms = (t0.elapsed().as_millis() / 4).max(1);
+    drop(g);
+
+    let (server, addr) = start(ServerConfig::default());
+    let req = Request::new(Op::Layout)
+        .with("graph", format!("gen:grid:{side}:{side}"))
+        .with("deadline-ms", deadline_ms);
+    let resp = parhde_serve::client::call_once(&addr, &req, Duration::from_secs(120))
+        .expect("exchange");
+    assert_eq!(resp.code, proto::TIMEOUT, "{} {}", resp.code, resp.reason);
+    assert_eq!(resp.reason, "deadline exhausted resolving the graph");
+    assert_eq!(resp.header("deadline-ms"), Some(deadline_ms.to_string().as_str()));
+    server.drain();
+}
+
+#[test]
 fn garbage_after_a_valid_frame_closes_with_a_typed_400() {
     let (server, addr) = start(ServerConfig::default());
 

@@ -29,7 +29,7 @@ use parhde_linalg::blas1::{axpy, dot, dot_weighted, norm2, scale, PAR_CHUNK};
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_linalg::{fused, ortho};
 use parhde_util::threads::run_with_threads;
-use parhde_util::Xoshiro256StarStar;
+use parhde_util::{supervisor, RunBudget, Xoshiro256StarStar};
 use std::sync::Mutex;
 
 /// Serializes tests that install a process-wide backend (the cargo test
@@ -315,15 +315,17 @@ fn bcgs2_decisions_identical_across_backends() {
 
 /// The three-call MGS loop `ortho::mgs` fuses: per projection a D-dot for
 /// the numerator, another for the denominator, then the axpy; then the
-/// norm and the scale.
+/// norm and the scale. Returns the outcome and the projection count.
 fn three_call_mgs(
     s: &mut ColMajorMatrix,
     d: Option<&[f64]>,
     tol: f64,
-) -> ortho::OrthoOutcome {
+) -> (ortho::OrthoOutcome, u64) {
     let mut kept: Vec<usize> = Vec::new();
     let mut dropped = Vec::new();
+    let mut projections = 0;
     for i in 0..s.cols() {
+        projections += kept.len() as u64;
         for &j in &kept {
             let (cj, ci) = s.col_pair(j, i);
             let (num, den) = match d {
@@ -343,36 +345,72 @@ fn three_call_mgs(
         }
     }
     s.retain_columns(&kept);
-    ortho::OrthoOutcome { kept, dropped }
+    (ortho::OrthoOutcome { kept, dropped }, projections)
 }
 
-/// A pipeline-shaped MGS input with `n` rows: the constant column,
-/// distance-like columns, a dependent copy and a zero column (both
-/// dropped), and a column supported only where `weights` vanish (kept, but
-/// with a zero D-norm², so later projections onto it are skipped).
+/// MGS one column at a time: the `IncrementalMgs` step on every column,
+/// the schedule `ortho::mgs` reorders into panels.
+fn column_mgs(s: &mut ColMajorMatrix, d: Option<&[f64]>, tol: f64) -> Vec<usize> {
+    let mut steps = ortho::IncrementalMgs::new(d, tol);
+    for i in 0..s.cols() {
+        steps.step(s, i);
+    }
+    let kept = steps.kept().to_vec();
+    s.retain_columns(&kept);
+    kept
+}
+
+/// `f()`'s result with the `dortho.projections` total and the BLAS-1
+/// element count it recorded.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let record = parhde_trace::Record::open();
+    let out = f();
+    let totals = record.close();
+    let blas1 = ["linalg.backend.scalar.blas1", "linalg.backend.simd.blas1"]
+        .iter()
+        .filter_map(|name| totals.counter(name))
+        .sum();
+    (out, totals.counter("dortho.projections").unwrap_or(0), blas1)
+}
+
+/// A pipeline-shaped MGS input with `n` rows over three panels of
+/// `ortho::mgs` (8 + 8 + 4 columns): the constant column and
+/// distance-like columns, with in the first panel a dependent copy and a
+/// zero column (both dropped) and a column supported only where `weights`
+/// vanish (kept, but with a zero D-norm², so later projections onto it
+/// are skipped); then a combination of first-panel columns just past the
+/// first panel edge and one of both earlier panels in the last, partial
+/// panel (both dropped).
 fn mgs_input(n: usize, weights: &[f64], seed: u64) -> ColMajorMatrix {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let mut distances = |_| -> Vec<f64> {
         (0..n).map(|_| (rng.next_f64() * 64.0).floor()).collect()
     };
     let first = distances(0);
-    let columns = vec![
+    let mut columns = vec![
         vec![1.0 / (n as f64).sqrt(); n],
         first.clone(),
         distances(0),
         first.iter().map(|x| 2.0 * x).collect(),
         vec![0.0; n],
         weights.iter().enumerate().map(|(r, &w)| if w == 0.0 { 1.0 + r as f64 } else { 0.0 }).collect(),
-        distances(0),
-        distances(0),
     ];
+    columns.extend((6..20).map(distances));
+    let combine = |a: &[f64], b: &[f64]| -> Vec<f64> {
+        a.iter().zip(b).map(|(x, y)| 3.0 * x - 0.5 * y).collect()
+    };
+    columns[9] = combine(&columns[2], &columns[6]);
+    columns[18] = combine(&columns[7], &columns[12]);
     ColMajorMatrix::from_columns(&columns)
 }
 
-/// `ortho::mgs` runs one pass per projection with cached denominators, yet
-/// must stay bit-identical to the three-call loop: matrix and outcome, at
-/// every chunking regime, plain and D-weighted, on both backends at 1, 2
-/// and 8 threads.
+/// `ortho::mgs` streams each kept column once per panel and runs one pass
+/// per projection with cached denominators, yet must stay bit-identical to
+/// the three-call loop: matrix and outcome, at every chunking regime,
+/// plain and D-weighted, on both backends at 1, 2 and 8 threads. It makes
+/// exactly the column-at-a-time loop's backend calls; against the
+/// three-call loop it saves one BLAS-1 pass per projection (the cached
+/// denominator) and spends one per kept column (the pass that caches it).
 #[test]
 fn fused_mgs_is_bitwise_the_three_call_loop() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -389,32 +427,74 @@ fn fused_mgs_is_bitwise_the_three_call_loop() {
         let input = mgs_input(n, &weights, n as u64);
         for d in [None, Some(weights.as_slice())] {
             for &be in &backends {
-                let (want, want_out) = with_backend(be, || {
-                    let mut m = input.clone();
-                    let out = three_call_mgs(&mut m, d, ortho::DROP_TOLERANCE);
-                    (m, out)
-                });
+                let ((want, (want_out, projections)), _, three_call_blas1) =
+                    with_backend(be, || {
+                        counted(|| {
+                            let mut m = input.clone();
+                            let out = three_call_mgs(&mut m, d, ortho::DROP_TOLERANCE);
+                            (m, out)
+                        })
+                    });
                 if n > 1 {
                     assert!(want_out.dropped.contains(&3), "n={n}: duplicate kept");
+                }
+                if n > 20 {
+                    // Rows enough that only the planted combinations are
+                    // dependent.
+                    for combination in [9, 18] {
+                        assert!(want_out.dropped.contains(&combination), "n={n}: {combination} kept");
+                    }
                 }
                 assert!(want_out.dropped.contains(&4), "n={n}: zero column kept");
                 if d.is_some() && n > 4 {
                     assert!(want_out.kept.contains(&5), "n={n}: zero-weight column dropped");
                 }
-                for threads in [1usize, 2, 8] {
-                    let (got, got_out) = with_backend(be, || {
-                        run_with_threads(threads, || {
+                let saved = n as u64 * (projections - want_out.kept.len() as u64);
+                let ((columns, column_kept), column_projections, column_blas1) =
+                    with_backend(be, || {
+                        counted(|| {
                             let mut m = input.clone();
-                            let out = ortho::mgs(&mut m, d, ortho::DROP_TOLERANCE);
-                            (m, out)
+                            let kept = column_mgs(&mut m, d, ortho::DROP_TOLERANCE);
+                            (m, kept)
+                        })
+                    });
+                assert_eq!(column_kept, want_out.kept);
+                assert_eq!(bits(columns.data()), bits(want.data()));
+                assert_eq!(column_projections, projections);
+                assert_eq!(column_blas1, three_call_blas1 - saved);
+                for threads in [1usize, 2, 8] {
+                    let ((got, got_out), got_projections, got_blas1) = with_backend(be, || {
+                        run_with_threads(threads, || {
+                            counted(|| {
+                                let mut m = input.clone();
+                                let out = ortho::mgs(&mut m, d, ortho::DROP_TOLERANCE);
+                                (m, out)
+                            })
                         })
                     });
                     let ctx = format!("n={n} weighted={} {be:?} {threads} threads", d.is_some());
                     assert_eq!(got_out, want_out, "{ctx}");
                     assert_eq!(bits(got.data()), bits(want.data()), "{ctx}");
+                    assert_eq!(got_projections, projections, "{ctx}");
+                    assert_eq!(got_blas1, three_call_blas1 - saved, "{ctx}");
                 }
             }
         }
+        // A budget that trips before column 11, in the middle of the
+        // second panel: the columns from there on are reported dropped,
+        // and the ones before it are finished exactly as without a budget.
+        let mut want = input.clone();
+        let (want_out, _) = three_call_mgs(&mut want, None, ortho::DROP_TOLERANCE);
+        let budget = RunBudget::unbounded();
+        budget.cancel_after_checks(12);
+        let installed = supervisor::install(&budget);
+        let mut got = input.clone();
+        let out = ortho::mgs(&mut got, None, ortho::DROP_TOLERANCE);
+        drop(installed);
+        let before: Vec<usize> = want_out.kept.iter().copied().filter(|&i| i < 11).collect();
+        assert_eq!(out.kept, before, "n={n}");
+        assert_eq!(out.dropped.iter().filter(|&&i| i >= 11).count(), 9, "n={n}");
+        assert_eq!(bits(got.data()), bits(&want.data()[..n * before.len()]), "n={n}");
     }
 }
 

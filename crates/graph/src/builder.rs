@@ -50,16 +50,6 @@ impl GraphBuilder {
         self.edges.push((u, v));
     }
 
-    /// Adds every edge from an iterator.
-    pub fn extend_edges(&mut self, it: impl IntoIterator<Item = (u32, u32)>) {
-        self.edges.extend(it);
-    }
-
-    /// Number of raw (pre-normalization) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the CSR graph: symmetrizes, removes self-loops and parallel
     /// edges, and produces sorted adjacency lists.
     pub fn build(self) -> CsrGraph {
@@ -194,7 +184,6 @@ mod tests {
         b.add_edge(0, 1); // exact duplicate
         b.add_edge(2, 2); // self loop
         b.add_edge(3, 1);
-        assert_eq!(b.raw_edge_count(), 5);
         let g = b.build();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 2);
@@ -228,14 +217,6 @@ mod tests {
         let g = GraphBuilder::new(3).build();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn extend_edges_accepts_iterator() {
-        let mut b = GraphBuilder::with_capacity(3, 2);
-        b.extend_edges([(0, 1), (1, 2)]);
-        let g = b.build();
-        assert_eq!(g.num_edges(), 2);
     }
 
     #[test]

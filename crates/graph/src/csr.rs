@@ -270,11 +270,6 @@ impl WeightedCsr {
             .map(|v| self.weighted_degree(v))
             .collect()
     }
-
-    /// Maximum edge weight (0 for an edgeless graph).
-    pub fn max_weight(&self) -> f64 {
-        self.weights.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -367,7 +362,6 @@ mod tests {
         assert_eq!(w.weighted_degree(1), 2.0);
         assert_eq!(w.weight(0, 1), Some(1.0));
         assert_eq!(w.weight(0, 2), None);
-        assert_eq!(w.max_weight(), 1.0);
         assert_eq!(w.weighted_degree_vector(), vec![1.0, 2.0, 1.0]);
     }
 

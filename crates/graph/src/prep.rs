@@ -187,81 +187,6 @@ pub fn k_hop_neighborhood(g: &CsrGraph, center: u32, hops: usize) -> Vec<u32> {
     out
 }
 
-/// Parallel connected components via label propagation (Shiloach–Vishkin
-/// flavored): every vertex starts with its own id; rounds of parallel
-/// min-label exchange over edges plus pointer-jumping shortcuts converge in
-/// O(log n) rounds on most graphs. Labels are then compacted to component
-/// ids numbered by first appearance, matching [`connected_components`]
-/// exactly.
-///
-/// The sequential BFS labeling remains the default for one-off
-/// preprocessing; this variant exists for multicore hosts where the label
-/// sweep's parallelism pays off on billion-edge inputs.
-///
-/// # Panics
-/// Panics if the graph has no vertices.
-pub fn connected_components_parallel(g: &CsrGraph) -> Components {
-    use parhde_util::par::prelude::*;
-    let n = g.num_vertices();
-    assert!(n > 0, "connected_components requires at least one vertex");
-    let mut label: Vec<u32> = (0..n as u32).collect();
-    loop {
-        // Hook: every vertex adopts the minimum label in its closed
-        // neighborhood (computed from the previous round — Jacobi style,
-        // deterministic and race-free).
-        let next: Vec<u32> = (0..n as u32)
-            .into_par_iter()
-            .map(|v| {
-                let mut best = label[v as usize];
-                for &u in g.neighbors(v) {
-                    best = best.min(label[u as usize]);
-                }
-                best
-            })
-            .collect();
-        // Shortcut: pointer-jump labels to their representatives.
-        let jumped: Vec<u32> = (0..n)
-            .into_par_iter()
-            .map(|v| {
-                let mut l = next[v];
-                // Follow the label chain a few hops; full convergence is
-                // guaranteed by the outer loop.
-                for _ in 0..4 {
-                    let l2 = next[l as usize];
-                    if l2 == l {
-                        break;
-                    }
-                    l = l2;
-                }
-                l
-            })
-            .collect();
-        let changed = label
-            .par_iter()
-            .zip(jumped.par_iter())
-            .any(|(a, b)| a != b);
-        label = jumped;
-        if !changed {
-            break;
-        }
-    }
-    // Compact labels to first-appearance component ids.
-    const UNSET: u32 = u32::MAX;
-    let mut compact = vec![UNSET; n];
-    let mut labels = vec![0u32; n];
-    let mut sizes = Vec::new();
-    for v in 0..n {
-        let rep = label[v] as usize;
-        if compact[rep] == UNSET {
-            compact[rep] = sizes.len() as u32;
-            sizes.push(0);
-        }
-        labels[v] = compact[rep];
-        sizes[compact[rep] as usize] += 1;
-    }
-    Components { labels, sizes }
-}
-
 /// Estimates the graph diameter with the double-sweep heuristic: BFS from
 /// `start`, then BFS again from the farthest vertex found; the second
 /// eccentricity is a lower bound on the diameter (exact on trees) and the
@@ -404,37 +329,6 @@ mod tests {
         assert!(is_connected(&tri));
         let single = build_from_edges(1, vec![]);
         assert!(is_connected(&single));
-    }
-
-    #[test]
-    fn parallel_components_match_sequential() {
-        use crate::gen::{chain, grid2d, pref_attach};
-        let graphs = [
-            two_comp(),
-            build_from_edges(1, vec![]),
-            chain(500),
-            grid2d(20, 20),
-            pref_attach(1000, 2, 3),
-            build_from_edges(10, vec![(0, 9), (1, 8), (2, 7)]),
-        ];
-        for (i, g) in graphs.iter().enumerate() {
-            let a = connected_components(g);
-            let b = connected_components_parallel(g);
-            assert_eq!(a.labels, b.labels, "graph {i}: labels differ");
-            assert_eq!(a.sizes, b.sizes, "graph {i}: sizes differ");
-        }
-    }
-
-    #[test]
-    fn parallel_components_on_long_chain_converges() {
-        // Worst case for label propagation: labels must travel the whole
-        // chain; the pointer-jumping shortcut keeps rounds manageable.
-        use crate::gen::chain;
-        use crate::order::shuffle_vertices;
-        let g = shuffle_vertices(&chain(3000), 5);
-        let c = connected_components_parallel(&g);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.sizes, vec![3000]);
     }
 
     #[test]

@@ -6,6 +6,16 @@
 //! hosts that phase once; the pipelines differ only in what they do with
 //! `B` afterwards.
 //!
+//! # The pivot loops
+//!
+//! Each pivot strategy is written once, over any traversal: `kcenters`
+//! is the only farthest-first loop and `random_pivots` the only draw of
+//! random pivots. The BFS phase and the weighted pipeline's SSSP phase
+//! (§3.3) run both. `kcenters` takes a per-pivot hook, run on each column
+//! once its distances are folded into the pivot choice: a no-op for those
+//! two phases, and the column's DOrtho step for the coupled schedule
+//! (§4.4), which is otherwise ParHDE's own k-centers BFS phase.
+//!
 //! # The planner
 //!
 //! Three execution modes can fill the columns, with very different
@@ -35,12 +45,14 @@ use crate::config::{BfsMode, PivotStrategy};
 use crate::error::{HdeError, Warning};
 use crate::pivots::{farthest_vertex, fold_min_distance};
 use crate::stats::{begin, phase, warn, HdeStats};
+use crate::supervise::budget_check;
 use parhde_bfs::batch::bfs_batched_into_f64;
 use parhde_bfs::direction_opt::bfs_direction_opt_into_f64;
 use parhde_bfs::frontier::lane_words;
 use parhde_bfs::multi::bfs_multi_source_into_f64;
 use parhde_bfs::serial::bfs_serial_into_f64;
 use parhde_graph::store::{GraphStore, StorageKind};
+use parhde_linalg::dense::ColMajorMatrix;
 use parhde_util::Xoshiro256StarStar;
 
 /// A concrete BFS execution mode chosen by the planner (the resolution of
@@ -234,135 +246,124 @@ fn trace_plan(plan: &BfsPlan) {
     }
 }
 
-/// Runs the BFS phase: fills `b`, the column-major `n×s` distance matrix
-/// `B` (one column per pivot, `s = b.len() / n`), recording pivots and the
-/// executed BFS mode into `stats` and phase times, traversal counters and
-/// warnings into the thread's run record.
-/// The caller owns the storage, so ParHDE passes columns `1..=s` of its
-/// basis `S` and no separate `B` is ever allocated. `rng` supplies the
-/// random start vertex / random pivots; `mode` is the user-facing planner
-/// knob.
-///
-/// When `parallel_bfs` is false every traversal is the sequential queue
-/// BFS (the prior-work configuration of Table 3) regardless of `mode`; the
-/// k-centers strategy is otherwise identical.
+/// Runs the BFS phase: fills columns `first..` of `smat`, one column per
+/// pivot, recording pivots and the executed BFS mode into `stats` and
+/// phase times, traversal counters and warnings into the thread's run
+/// record. ParHDE passes its basis `S` with `first = 1`, so `B` is never
+/// a matrix of its own; PHDE and PivotMDS pass `C` with `first = 0`.
+/// `rng` supplies the random start vertex / random pivots; `mode` is the
+/// user-facing planner knob.
 ///
 /// # Errors
-/// [`HdeError::Disconnected`] if a traversal fails to reach every vertex.
+/// [`HdeError::Disconnected`] if a traversal fails to reach every vertex,
+/// or a budget trip.
 pub(crate) fn run_bfs_phase<G: GraphStore>(
     g: &G,
-    b: &mut [f64],
+    smat: &mut ColMajorMatrix,
+    first: usize,
     strategy: PivotStrategy,
     mode: BfsMode,
     rng: &mut Xoshiro256StarStar,
-    parallel_bfs: bool,
     stats: &mut HdeStats,
 ) -> Result<(), HdeError> {
-    let n = g.num_vertices();
-    let s = b.len() / n;
-    assert_eq!(b.len(), n * s, "B must hold whole columns");
     match strategy {
-        PivotStrategy::KCenters => {
-            // K-centers pivots are sequentially dependent, so the batched
-            // kernel cannot apply; the per-pivot choice is serial vs
-            // direction-optimizing.
-            if mode == BfsMode::Batched {
-                warn(Warning::BatchedBfsUnavailable);
-            }
-            let serial_each = !parallel_bfs || mode == BfsMode::PerSource;
-            stats.bfs_mode = Some(if serial_each {
-                PlannedBfsMode::PerSource.label()
-            } else {
-                PlannedBfsMode::DirectionOpt.label()
-            });
-            kcenters(n, b, rng, stats, |src, col| {
-                if serial_each {
-                    bfs_serial_into_f64(g, src, col)
-                } else {
-                    bfs_direction_opt_into_f64(g, src, col).0
-                }
-            })?;
-        }
+        PivotStrategy::KCenters => kcenters_bfs(g, smat, first, mode, rng, stats, |_, _| Ok(())),
         PivotStrategy::Random => {
-            let ph = begin(phase::BFS_OTHER);
-            let sources: Vec<u32> = rng
-                .sample_distinct(n, s)
-                .into_iter()
-                .map(|v| v as u32)
-                .collect();
-            stats.sources = sources.clone();
-            let knob = if parallel_bfs { mode } else { BfsMode::PerSource };
+            let n = g.num_vertices();
             let plan = plan_bfs_phase_stored(
                 n,
                 g.num_edges(),
-                s,
+                smat.cols() - first,
                 parhde_util::par::current_num_threads(),
-                knob,
+                mode,
                 g.storage(),
             );
             stats.bfs_mode = Some(plan.mode.label());
             trace_plan(&plan);
-            drop(ph);
-            let ph = begin(phase::BFS);
-            let mut cols: Vec<&mut [f64]> = b.chunks_mut(n).collect();
-            let reached_first = match plan.mode {
-                PlannedBfsMode::PerSource => {
-                    let reached = bfs_multi_source_into_f64(g, &sources, &mut cols);
-                    reached.first().copied().unwrap_or(n)
-                }
-                PlannedBfsMode::Batched => {
-                    let bstats = bfs_batched_into_f64(g, &sources, &mut cols);
-                    bstats.reached.first().copied().unwrap_or(n)
-                }
-                PlannedBfsMode::DirectionOpt => {
-                    let mut first = n;
-                    for (i, (&src, col)) in sources.iter().zip(cols).enumerate() {
-                        let (reached, _) = bfs_direction_opt_into_f64(g, src, col);
-                        if i == 0 {
-                            first = reached;
-                        }
-                    }
-                    first
-                }
-            };
-            drop(ph);
-            // As above: the trip outranks the partial-reach it causes.
-            crate::supervise::budget_check(phase::BFS)?;
-            if reached_first != n {
-                return Err(HdeError::Disconnected { reached: reached_first, n });
-            }
+            random_pivots(smat, first, rng, stats, |sources, b| {
+                let mut cols: Vec<&mut [f64]> = b.chunks_mut(n).collect();
+                let reached = match plan.mode {
+                    PlannedBfsMode::PerSource => bfs_multi_source_into_f64(g, sources, &mut cols),
+                    PlannedBfsMode::Batched => bfs_batched_into_f64(g, sources, &mut cols).reached,
+                    PlannedBfsMode::DirectionOpt => sources
+                        .iter()
+                        .zip(cols)
+                        .map(|(&src, col)| bfs_direction_opt_into_f64(g, src, col).0)
+                        .collect(),
+                };
+                reached.first().copied().unwrap_or(n)
+            })
         }
     }
-    Ok(())
 }
 
-/// Farthest-first k-centers pivots (Algorithm 3 line 8): fills the columns
-/// of `b` one traversal at a time, each from the vertex farthest from all
-/// earlier pivots. `traverse(src, col)` writes the distances from `src`
-/// into `col` and returns how many vertices it reached. Shared by the BFS
-/// phase and the weighted pipeline's SSSP phase.
+/// The k-centers BFS phase: [`kcenters`] with one traversal per pivot,
+/// the sequential queue BFS under [`BfsMode::PerSource`] and the
+/// direction-optimizing BFS otherwise. The pivots are sequentially
+/// dependent, so a forced [`BfsMode::Batched`] falls back with a warning.
+/// `after` is [`kcenters`]' per-pivot hook.
 ///
 /// # Errors
-/// [`HdeError::Disconnected`] if a traversal fails to reach every vertex.
+/// As [`kcenters`].
+pub(crate) fn kcenters_bfs<G: GraphStore>(
+    g: &G,
+    smat: &mut ColMajorMatrix,
+    first: usize,
+    mode: BfsMode,
+    rng: &mut Xoshiro256StarStar,
+    stats: &mut HdeStats,
+    after: impl FnMut(&mut ColMajorMatrix, usize) -> Result<(), HdeError>,
+) -> Result<(), HdeError> {
+    if mode == BfsMode::Batched {
+        warn(Warning::BatchedBfsUnavailable);
+    }
+    let serial = mode == BfsMode::PerSource;
+    let executed = if serial { PlannedBfsMode::PerSource } else { PlannedBfsMode::DirectionOpt };
+    stats.bfs_mode = Some(executed.label());
+    let traverse = |src, col: &mut [f64]| {
+        if serial {
+            bfs_serial_into_f64(g, src, col)
+        } else {
+            bfs_direction_opt_into_f64(g, src, col).0
+        }
+    };
+    kcenters(smat, first, rng, stats, traverse, after)
+}
+
+/// Farthest-first k-centers pivots (Algorithm 3 line 8): fills columns
+/// `first..` of `smat` one traversal at a time, each from the vertex
+/// farthest from all earlier pivots. `traverse(src, col)` writes the
+/// distances from `src` into `col` and returns how many vertices it
+/// reached. Once a column's distances are folded into the pivot choice,
+/// `after(smat, i)` runs on it: a no-op for the BFS and SSSP phases, the
+/// column's DOrtho step for the coupled schedule (§4.4), which may then
+/// overwrite it. Shared by the BFS phase and the weighted pipeline's SSSP
+/// phase.
+///
+/// # Errors
+/// [`HdeError::Disconnected`] if a traversal fails to reach every vertex,
+/// a budget trip, or the first error of `after`, which ends the loop.
 pub(crate) fn kcenters(
-    n: usize,
-    b: &mut [f64],
+    smat: &mut ColMajorMatrix,
+    first: usize,
     rng: &mut Xoshiro256StarStar,
     stats: &mut HdeStats,
     mut traverse: impl FnMut(u32, &mut [f64]) -> usize,
+    mut after: impl FnMut(&mut ColMajorMatrix, usize) -> Result<(), HdeError>,
 ) -> Result<(), HdeError> {
+    let n = smat.rows();
     let mut min_dist = vec![f64::INFINITY; n];
     let mut src = rng.next_index(n) as u32;
     let mut nan_dropped = 0usize;
-    for col in b.chunks_mut(n) {
+    for i in first..smat.cols() {
         stats.sources.push(src);
         let ph = begin(phase::BFS);
-        let reached = traverse(src, col);
+        let reached = traverse(src, smat.col_mut(i));
         drop(ph);
         // Budget check BEFORE the connectivity check: an abandoned
         // traversal reaches fewer than n vertices, and the trip must win
         // over the spurious "disconnected" that creates.
-        crate::supervise::budget_check(phase::BFS)?;
+        budget_check(phase::BFS)?;
         if reached != n {
             return Err(HdeError::Disconnected { reached, n });
         }
@@ -371,12 +372,49 @@ pub(crate) fn kcenters(
         // weights can emit NaN distances; both reductions exclude (and
         // count) them rather than let a NaN pivot corrupt the whole
         // k-centers sequence.
-        nan_dropped += fold_min_distance(&mut min_dist, col);
+        nan_dropped += fold_min_distance(&mut min_dist, smat.col(i));
         src = farthest_vertex(&min_dist);
         drop(ph);
+        after(smat, i)?;
     }
     if nan_dropped > 0 {
         warn(Warning::NanDistances { count: nan_dropped });
+    }
+    Ok(())
+}
+
+/// Random pivots (§4.4, Table 6): one distinct source per column `first..`
+/// of `smat`, all drawn up front into `stats.sources`, so the traversals
+/// are independent. `traverse(sources, b)` fills `b`, those columns back
+/// to back, one per source, and returns how many vertices the first
+/// traversal reached. Shared by the BFS phase and the weighted pipeline's
+/// SSSP phase.
+///
+/// # Errors
+/// [`HdeError::Disconnected`] if the first traversal fails to reach every
+/// vertex, or a budget trip.
+pub(crate) fn random_pivots(
+    smat: &mut ColMajorMatrix,
+    first: usize,
+    rng: &mut Xoshiro256StarStar,
+    stats: &mut HdeStats,
+    traverse: impl FnOnce(&[u32], &mut [f64]) -> usize,
+) -> Result<(), HdeError> {
+    let n = smat.rows();
+    let ph = begin(phase::BFS_OTHER);
+    stats.sources = rng
+        .sample_distinct(n, smat.cols() - first)
+        .into_iter()
+        .map(|v| v as u32)
+        .collect();
+    drop(ph);
+    let ph = begin(phase::BFS);
+    let reached = traverse(&stats.sources, &mut smat.data_mut()[first * n..]);
+    drop(ph);
+    // As in `kcenters`: the trip outranks the partial reach it causes.
+    budget_check(phase::BFS)?;
+    if reached != n {
+        return Err(HdeError::Disconnected { reached, n });
     }
     Ok(())
 }
@@ -394,12 +432,11 @@ mod tests {
         strategy: PivotStrategy,
         mode: BfsMode,
         seed: u64,
-        parallel_bfs: bool,
         stats: &mut HdeStats,
     ) -> Result<ColMajorMatrix, HdeError> {
         let mut b = ColMajorMatrix::zeros(g.num_vertices(), s);
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        run_bfs_phase(g, b.data_mut(), strategy, mode, &mut rng, parallel_bfs, stats)?;
+        run_bfs_phase(g, &mut b, 0, strategy, mode, &mut rng, stats)?;
         Ok(b)
     }
 
@@ -407,7 +444,7 @@ mod tests {
     fn kcenters_phase_fills_all_columns() {
         let g = grid2d(10, 10);
         let mut stats = HdeStats::default();
-        let b = phase_matrix(&g, 5, PivotStrategy::KCenters, BfsMode::Auto, 1, true, &mut stats)
+        let b = phase_matrix(&g, 5, PivotStrategy::KCenters, BfsMode::Auto, 1, &mut stats)
             .unwrap();
         assert_eq!(b.cols(), 5);
         assert_eq!(stats.sources.len(), 5);
@@ -424,19 +461,63 @@ mod tests {
         let g = grid2d(9, 9);
         let mut sa = HdeStats::default();
         let mut sb = HdeStats::default();
-        let ba = phase_matrix(&g, 4, PivotStrategy::KCenters, BfsMode::Auto, 2, true, &mut sa)
+        let ba = phase_matrix(&g, 4, PivotStrategy::KCenters, BfsMode::Auto, 2, &mut sa)
             .unwrap();
-        let bb = phase_matrix(&g, 4, PivotStrategy::KCenters, BfsMode::Auto, 2, false, &mut sb)
+        let bb = phase_matrix(&g, 4, PivotStrategy::KCenters, BfsMode::PerSource, 2, &mut sb)
             .unwrap();
+        assert_eq!(sb.bfs_mode, Some("per_source"));
         assert_eq!(sa.sources, sb.sources);
         assert_eq!(ba.data(), bb.data());
+    }
+
+    #[test]
+    fn kcenters_runs_its_hook_after_each_fold_and_stops_at_its_error() {
+        // A hook that zeroes its column: had it run before the fold, every
+        // later pivot would be vertex 0, the argmax of an all-zero
+        // minimum. `first = 1` leaves column 0 to the caller.
+        let g = grid2d(12, 12);
+        let n = g.num_vertices();
+        let traverse = |src, col: &mut [f64]| bfs_serial_into_f64(&g, src, col);
+        let run = |after: &mut dyn FnMut(&mut ColMajorMatrix, usize) -> Result<(), HdeError>| {
+            let mut smat = ColMajorMatrix::zeros(n, 7);
+            let mut rng = Xoshiro256StarStar::seed_from_u64(4);
+            let mut stats = HdeStats::default();
+            let out = kcenters(&mut smat, 1, &mut rng, &mut stats, traverse, after);
+            (out, stats.sources, smat)
+        };
+        let (out, plain, _) = run(&mut |_, _| Ok(()));
+        out.unwrap();
+        let mut calls = Vec::new();
+        let (out, zeroed, smat) = run(&mut |s, i| {
+            calls.push(i);
+            s.col_mut(i).fill(0.0);
+            Ok(())
+        });
+        out.unwrap();
+        assert_eq!(calls, (1..7).collect::<Vec<_>>(), "once per column, ascending");
+        assert_eq!(zeroed, plain, "the hook ran before the fold");
+        assert!(smat.data()[n..].iter().all(|&d| d == 0.0));
+        // An error from the hook ends the loop: no further traversal.
+        let mut calls = Vec::new();
+        let stop = HdeError::Internal("stop".into());
+        let (out, sources, _) = run(&mut |_, i| {
+            calls.push(i);
+            if i == 2 {
+                Err(stop.clone())
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(out, Err(stop));
+        assert_eq!(calls, [1, 2]);
+        assert_eq!(sources, plain[..2]);
     }
 
     #[test]
     fn random_phase_uses_distinct_sources() {
         let g = grid2d(8, 8);
         let mut stats = HdeStats::default();
-        let _ = phase_matrix(&g, 6, PivotStrategy::Random, BfsMode::Auto, 3, true, &mut stats);
+        let _ = phase_matrix(&g, 6, PivotStrategy::Random, BfsMode::Auto, 3, &mut stats);
         let set: std::collections::HashSet<_> = stats.sources.iter().collect();
         assert_eq!(set.len(), 6);
     }
@@ -447,8 +528,7 @@ mod tests {
         let mut reference: Option<Vec<f64>> = None;
         for mode in [BfsMode::PerSource, BfsMode::Batched, BfsMode::DirectionOpt] {
             let mut stats = HdeStats::default();
-            let b = phase_matrix(&g, 12, PivotStrategy::Random, mode, 11, true, &mut stats)
-                .unwrap();
+            let b = phase_matrix(&g, 12, PivotStrategy::Random, mode, 11, &mut stats).unwrap();
             match &reference {
                 None => reference = Some(b.data().to_vec()),
                 Some(r) => assert_eq!(

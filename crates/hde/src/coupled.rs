@@ -9,15 +9,18 @@
 //! with byte-identical results to the decoupled MGS pipeline (same
 //! operations in the same order). Pivot selection still folds the *raw*
 //! distances, so the k-centers sequence is unchanged.
+//!
+//! The schedule is ParHDE's own phases in another order: the k-centers
+//! loop ([`crate::bfs_phase`]) runs each column's DOrtho step as its
+//! per-pivot hook, and the shared driver's tail takes over from the
+//! orthogonalized `S`.
 
+use crate::bfs_phase::kcenters_bfs;
 use crate::config::{OrthoMethod, ParHdeConfig, PivotStrategy};
-use crate::driver::{eigensolve, project, strict, triple_prod};
-use crate::error::Warning;
+use crate::driver::{pipeline_from_s, strict, Coupled, Run};
+use crate::error::HdeError;
 use crate::layout::Layout;
-use crate::parhde::assert_connected;
-use crate::pivots::{farthest_vertex, fold_min_distance};
-use crate::stats::{begin, phase, recorded, warn, HdeStats};
-use parhde_bfs::direction_opt::bfs_direction_opt_into_f64;
+use crate::stats::{begin, phase, recorded, HdeStats};
 use parhde_graph::CsrGraph;
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_linalg::ortho::IncrementalMgs;
@@ -32,97 +35,52 @@ use parhde_util::Xoshiro256StarStar;
 /// Panics like [`crate::par_hde`], or if the configuration requests random
 /// pivots, CGS, or raw-basis projection.
 pub fn par_hde_coupled(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
-    recorded(|| coupled(g, cfg))
+    let (coords, stats) = strict(recorded(|| coupled(g, cfg)));
+    (Layout::from_coords(&coords), stats)
 }
 
-fn coupled(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
+/// ParHDE's k-centers BFS phase with each column's DOrtho step as its
+/// per-pivot hook, then the shared tail.
+fn coupled(g: &CsrGraph, cfg: &ParHdeConfig) -> Result<(ColMajorMatrix, HdeStats), HdeError> {
     let n = g.num_vertices();
-    strict(cfg.validate(n));
-    assert_eq!(
-        cfg.pivots,
-        PivotStrategy::KCenters,
-        "coupled mode requires k-centers pivots"
-    );
-    assert_eq!(cfg.ortho, OrthoMethod::Mgs, "coupled mode requires MGS");
-    assert!(
-        !cfg.project_from_raw,
-        "coupled mode discards raw distance columns; use the S-basis projection"
-    );
+    cfg.validate(n)?;
+    if cfg.pivots != PivotStrategy::KCenters {
+        return Err(HdeError::InvalidConfig("coupled mode requires k-centers pivots".into()));
+    }
+    if cfg.ortho != OrthoMethod::Mgs {
+        return Err(HdeError::InvalidConfig("coupled mode requires MGS".into()));
+    }
+    if cfg.project_from_raw {
+        return Err(HdeError::InvalidConfig(
+            "coupled mode discards raw distance columns; use the S-basis projection".into(),
+        ));
+    }
     let s = cfg.subspace;
     let _root = parhde_trace::span!("parhde_coupled");
-    let backend_executed = strict(crate::config::install_backend(cfg.backend));
-    let mut stats = HdeStats {
-        s_requested: s,
-        backend: Some(cfg.backend.label()),
-        backend_executed: Some(backend_executed),
-        ..HdeStats::default()
-    };
-    let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed);
-
-    let ph = begin(phase::INIT);
-    let mut smat = ColMajorMatrix::zeros(n, s + 1);
-    smat.col_mut(0).fill(1.0 / (n as f64).sqrt());
-    let degrees = g.degree_vector();
-    let weights = cfg.d_orthogonalize.then_some(degrees.as_slice());
-    // Process the constant column through the same MGS step the decoupled
-    // pipeline uses, so the floating-point operation sequence (and thus the
-    // result) is bit-identical.
-    let mut ortho = IncrementalMgs::new(weights, cfg.drop_tolerance);
-    let kept0 = ortho.step(&mut smat, 0);
-    debug_assert!(kept0, "the constant column has unit norm");
-    let mut dropped = 0usize;
-    let mut min_dist = vec![f64::INFINITY; n];
-    let mut src = rng.next_index(n) as u32;
-    let mut nan_dropped = 0usize;
-    drop(ph);
-
-    for i in 1..=s {
-        stats.sources.push(src);
-        // BFS straight into column i; pivot selection folds the raw
-        // distances before the MGS step overwrites them.
-        let ph = begin(phase::BFS);
-        let (reached, _) = bfs_direction_opt_into_f64(g, src, smat.col_mut(i));
-        drop(ph);
-        // Budget check before the connectivity assert: an abandoned
-        // traversal reaches fewer than n vertices, and the trip must win
-        // over the spurious "disconnected" panic that would cause.
-        crate::supervise::budget_check_strict(phase::BFS);
-        assert_connected(reached, n);
-
-        let ph = begin(phase::BFS_OTHER);
-        // BFS levels are finite; a nonzero count means a kernel regression
-        // and is worth a warning even in this strict pipeline.
-        nan_dropped += fold_min_distance(&mut min_dist, smat.col(i));
-        src = farthest_vertex(&min_dist);
+    Run::strict(s).once(cfg.backend, |stats| {
+        let ph = begin(phase::INIT);
+        let mut smat = ColMajorMatrix::zeros(n, s + 1);
+        smat.col_mut(0).fill(1.0 / (n as f64).sqrt());
+        let degrees = g.degree_vector();
+        let weights = cfg.d_orthogonalize.then_some(degrees.as_slice());
+        // The constant column goes through the same MGS step the decoupled
+        // pipeline gives it, so the floating-point operation sequence (and
+        // thus the result) is bit-identical.
+        let mut steps = IncrementalMgs::new(weights, cfg.drop_tolerance);
+        let kept0 = steps.step(&mut smat, 0);
+        debug_assert!(kept0, "the constant column has unit norm");
         drop(ph);
 
-        // Coupled DOrtho: orthogonalize this column immediately.
-        let ph = begin(phase::DORTHO);
-        if !ortho.step(&mut smat, i) {
-            dropped += 1;
-        }
-        drop(ph);
-    }
-
-    // Compact to the kept non-constant columns.
-    let ph = begin(phase::DORTHO);
-    smat.retain_columns(ortho.kept());
-    let survivors: Vec<usize> = (1..smat.cols()).collect();
-    smat.retain_columns(&survivors);
-    stats.dropped_columns = dropped;
-    stats.s_kept = smat.cols();
-    if nan_dropped > 0 {
-        warn(Warning::NanDistances { count: nan_dropped });
-    }
-    drop(ph);
-    crate::supervise::budget_check_strict(phase::DORTHO);
-    assert!(smat.cols() >= 2, "fewer than two directions survived");
-
-    // TripleProd + eigensolve + projection, the decoupled path's own steps.
-    let z = strict(triple_prod(g, &degrees, &smat, cfg.linalg_mode, &mut stats));
-    let y = strict(eigensolve(&smat, &z, weights, 2, &mut stats));
-    let coords = strict(project(&smat, &y));
-    (Layout::from_coords(&coords), stats)
+        // Each column is orthogonalized the moment its traversal is folded
+        // into the pivot choice, which reads the raw distances.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed);
+        kcenters_bfs(g, &mut smat, 1, cfg.bfs_mode, &mut rng, stats, |smat, i| {
+            let _ph = begin(phase::DORTHO);
+            steps.step(smat, i);
+            Ok(())
+        })?;
+        pipeline_from_s(g, cfg, 2, smat, Some(Coupled { degrees: &degrees, steps }), stats)
+    })
 }
 
 #[cfg(test)]

@@ -13,8 +13,10 @@
 //!   attempt's [`HdeStats`] from the same header. Each degradation goes
 //!   straight into the call's run record, so no step carries warnings.
 //! * [`pipeline_from_s`] is the post-BFS tail of the Laplacian pipelines:
-//!   DOrtho, [`triple_prod`], [`eigensolve`] and [`project`]. The coupled
-//!   and prior-work ablations call the steps they share directly.
+//!   DOrtho, [`triple_prod`], [`eigensolve`] and [`project`]. The
+//!   prior-work ablation plugs its materialized Laplacian into it through
+//!   [`Laplacian`], and the coupled one hands it a DOrtho already done
+//!   ([`Coupled`]).
 
 use crate::config::{install_backend, LinalgBackend, LinalgMode, OrthoMethod, ParHdeConfig};
 use crate::error::{reseed, scatter_coords, trivial_coords, HdeError, Warning};
@@ -27,7 +29,7 @@ use parhde_linalg::dense::ColMajorMatrix;
 use parhde_linalg::eig::jacobi::try_symmetric_eigen;
 use parhde_linalg::error::check_matrix_finite;
 use parhde_linalg::gemm::{a_small, at_b};
-use parhde_linalg::ortho::{try_bcgs2, try_cgs, try_mgs};
+use parhde_linalg::ortho::{try_bcgs2, try_cgs, try_mgs, IncrementalMgs};
 use parhde_linalg::LinalgError;
 
 /// How a pipeline responds to defective input.
@@ -141,6 +143,12 @@ pub(crate) struct Run {
 }
 
 impl Run {
+    /// The run of a strict pipeline with no fail-soft twin (the coupled
+    /// and prior-work ablations), to which the policy applies no rule.
+    pub(crate) fn strict(s_requested: usize) -> Run {
+        Run { s_requested }
+    }
+
     /// Installs `backend`, then runs `attempt` once on a fresh stats header
     /// — for pipelines that never re-pivot.
     ///
@@ -208,10 +216,14 @@ impl Run {
 pub(crate) trait Laplacian {
     /// The diagonal `D`: (weighted) vertex degrees.
     fn degrees(&self) -> Vec<f64>;
-    /// Fused `Z = Sᵀ·L·S`.
-    fn triple_product(&self, d: &[f64], s: &ColMajorMatrix) -> Result<ColMajorMatrix, LinalgError>;
     /// Staged `P = L·S`.
     fn spmm(&self, d: &[f64], s: &ColMajorMatrix) -> Result<ColMajorMatrix, LinalgError>;
+    /// Fused `Z = Sᵀ·L·S`. By default the staged composition `Sᵀ·(L·S)`,
+    /// which the fused kernels replay bit for bit without materializing
+    /// `L·S`.
+    fn triple_product(&self, d: &[f64], s: &ColMajorMatrix) -> Result<ColMajorMatrix, LinalgError> {
+        Ok(at_b(s, &self.spmm(d, s)?))
+    }
 }
 
 impl<G: GraphStore> Laplacian for G {
@@ -245,9 +257,19 @@ impl Laplacian for Similarities<'_> {
     }
 }
 
+/// A DOrtho done during the BFS phase: the coupled schedule (§4.4).
+/// `steps`, over the weights `degrees` gives it, orthogonalized the
+/// constant column of `S` first, then each distance column the moment its
+/// traversal finished.
+pub(crate) struct Coupled<'d> {
+    pub(crate) degrees: &'d [f64],
+    pub(crate) steps: IncrementalMgs<'d>,
+}
+
 /// The deterministic post-BFS tail: DOrtho → TripleProd → eigensolve →
 /// projection, given `smat` with the distance matrix `B` in columns
-/// `1..=s` (column 0 is set here). DOrtho rewrites `S` in place, so the
+/// `1..=s` (column 0 is set here) or, with `coupled`, the whole of `S`
+/// orthogonalized already. DOrtho rewrites `S` in place, so the
 /// `project_from_raw` ablation copies `B` out first. A live run and a
 /// checkpoint resume both end here, so they execute the same
 /// floating-point operations in the same order, which is what makes
@@ -261,6 +283,7 @@ pub(crate) fn pipeline_from_s(
     cfg: &ParHdeConfig,
     p: usize,
     mut smat: ColMajorMatrix,
+    coupled: Option<Coupled<'_>>,
     stats: &mut HdeStats,
 ) -> Result<ColMajorMatrix, HdeError> {
     let n = smat.rows();
@@ -271,25 +294,43 @@ pub(crate) fn pipeline_from_s(
     let raw = cfg
         .project_from_raw
         .then(|| ColMajorMatrix::from_data(n, s, smat.data()[n..].to_vec()));
-    smat.col_mut(0).fill(1.0 / (n as f64).sqrt());
-    let degrees = lap.degrees();
+    let owned;
+    let (degrees, steps) = match coupled {
+        Some(Coupled { degrees, steps }) => (degrees, Some(steps)),
+        None => {
+            smat.col_mut(0).fill(1.0 / (n as f64).sqrt());
+            owned = lap.degrees();
+            (owned.as_slice(), None)
+        }
+    };
     drop(ph);
 
     // ---- DOrtho phase ---------------------------------------------------
     let ph = begin(phase::DORTHO);
-    let weights = cfg.d_orthogonalize.then_some(degrees.as_slice());
-    let outcome = match cfg.ortho {
-        OrthoMethod::Mgs => try_mgs(&mut smat, weights, cfg.drop_tolerance, "dortho")?,
-        OrthoMethod::Cgs => try_cgs(&mut smat, weights, cfg.drop_tolerance, "dortho")?,
-        OrthoMethod::Bcgs2 => try_bcgs2(&mut smat, weights, cfg.drop_tolerance, "dortho")?,
+    let weights = cfg.d_orthogonalize.then_some(degrees);
+    let cols = smat.cols();
+    let kept = match steps {
+        Some(steps) => {
+            smat.retain_columns(steps.kept());
+            steps.kept().to_vec()
+        }
+        None => {
+            let tol = cfg.drop_tolerance;
+            let outcome = match cfg.ortho {
+                OrthoMethod::Mgs => try_mgs(&mut smat, weights, tol, "dortho")?,
+                OrthoMethod::Cgs => try_cgs(&mut smat, weights, tol, "dortho")?,
+                OrthoMethod::Bcgs2 => try_bcgs2(&mut smat, weights, tol, "dortho")?,
+            };
+            outcome.kept
+        }
     };
     // Drop the 0th (degenerate constant) column — Algorithm 3 line 16. It
     // always survives orthogonalization (it is processed first and has unit
     // norm), landing at physical index 0 of the compacted matrix.
-    debug_assert_eq!(outcome.kept.first(), Some(&0));
+    debug_assert_eq!(kept.first(), Some(&0));
     let survivors: Vec<usize> = (1..smat.cols()).collect();
     smat.retain_columns(&survivors);
-    stats.dropped_columns = outcome.dropped.len();
+    stats.dropped_columns = cols - kept.len();
     stats.s_kept = smat.cols();
     drop(ph);
     // Budget check BEFORE the degenerate-subspace check: a tripped ortho
@@ -305,16 +346,16 @@ pub(crate) fn pipeline_from_s(
         });
     }
 
-    let z = triple_prod(lap, &degrees, &smat, cfg.linalg_mode, stats)?;
+    let z = triple_prod(lap, degrees, &smat, cfg.linalg_mode, stats)?;
     let y = eigensolve(&smat, &z, weights, p, stats)?;
     match &raw {
         Some(b) => {
             // [x, y] = B·Y (the literal Algorithm 3 line 20): map each kept
             // S column back to the raw distance column it originated from.
-            // outcome.kept lists original indices in [0, s]; index 0 is the
+            // `kept` lists original indices in [0, s]; index 0 is the
             // constant column, original index i ≥ 1 is B's column i − 1.
-            let mut b_kept = ColMajorMatrix::zeros(n, outcome.kept.len() - 1);
-            for (dst, &src) in outcome.kept[1..].iter().enumerate() {
+            let mut b_kept = ColMajorMatrix::zeros(n, kept.len() - 1);
+            for (dst, &src) in kept[1..].iter().enumerate() {
                 b_kept.col_mut(dst).copy_from_slice(b.col(src - 1));
             }
             project(&b_kept, &y)

@@ -44,12 +44,15 @@
 //! * plain orthogonalization instead of D-orthogonalization via
 //!   [`config::ParHdeConfig::d_orthogonalize`] (§4.5.1 eigen-projection);
 //! * weighted graphs via Δ-stepping SSSP ([`weighted`], §3.3);
-//! * [`prior`] — the prior-work baseline of Table 3 (sequential BFS +
-//!   explicitly materialized Laplacian);
+//! * [`prior`] — the prior-work baseline of Table 3: ParHDE pinned to
+//!   sequential BFS, MGS and the staged triple product through an
+//!   explicitly materialized Laplacian;
 //! * [`zoom`] — k-hop neighborhood re-layout (§4.5.2);
 //! * [`refine`] — weighted-centroid refinement and eigensolver
 //!   preconditioning (§4.5.3);
-//! * [`coupled`] — the coupled BFS + D-orthogonalization schedule (§4.4);
+//! * [`coupled`] — the coupled BFS + D-orthogonalization schedule (§4.4),
+//!   ParHDE with each column's DOrtho step run as the k-centers loop's
+//!   per-pivot hook;
 //! * [`partition`] — geometric partitioning from layout coordinates
 //!   (§4.5.4);
 //! * [`stress`] — sparse stress majorization seeded by ParHDE (§4.5.4);
@@ -80,7 +83,7 @@
 //! [`try_par_hde_nd_supervised`] runs the pipeline under a
 //! [`parhde_util::RunBudget`] — a wall-clock deadline, a soft memory
 //! budget with pre-run admission, and cooperative cancellation — and
-//! degrades through a retry ladder (fewer pivots → batched BFS → PHDE →
+//! degrades through a retry ladder (fewer pivots → random pivots → PHDE →
 //! trivial layout) instead of failing when a budget trips.
 //! [`try_par_hde_nd_checkpointed`] / [`try_par_hde_resume`] persist the
 //! post-BFS state so an interrupted run restarts bit-identically without

@@ -80,7 +80,7 @@ pub fn multilevel_hde(g: &CsrGraph, cfg: &MultilevelConfig) -> (Layout, Multilev
     for level in (0..hierarchy.maps.len()).rev() {
         // One cooperative check per prolongation level (strict pipeline:
         // a budget trip panics like any other defect here).
-        crate::supervise::budget_check_strict(crate::stats::phase::INIT);
+        crate::driver::strict(crate::supervise::budget_check(crate::stats::phase::INIT));
         let x = hierarchy.prolong(level, &layout.x);
         let y = hierarchy.prolong(level, &layout.y);
         let (sx, sy) = Layout::new(x.clone(), y.clone()).axis_stddev();

@@ -11,8 +11,8 @@
 //!
 //! What is ParHDE's own lives here: the BFS phase straight into `S` and the
 //! post-BFS checkpoint. The degradation policy, the re-pivot loop and the
-//! post-BFS tail are `crate::driver`'s, shared with weighted ParHDE, PHDE
-//! and PivotMDS.
+//! post-BFS tail are `crate::driver`'s, shared with weighted ParHDE, PHDE,
+//! PivotMDS and the coupled and prior-work ablations.
 
 use crate::bfs_phase::run_bfs_phase;
 use crate::checkpoint::{self, Checkpoint, CheckpointSpec};
@@ -184,7 +184,7 @@ pub(crate) fn run_nd<G: GraphStore>(
                 let mut smat = ColMajorMatrix::zeros(n, cfg.subspace + 1);
                 smat.data_mut()[n..].copy_from_slice(ckpt.b.data());
                 drop(ph);
-                pipeline_from_s(g, &cfg, p, smat, stats)
+                pipeline_from_s(g, &cfg, p, smat, None, stats)
             })
         }
     }
@@ -212,8 +212,7 @@ fn pipeline_once<G: GraphStore>(
     drop(ph);
 
     // ---- BFS phase: B straight into columns 1..=s of S -----------------
-    let b = &mut smat.data_mut()[n..];
-    run_bfs_phase(g, b, cfg.pivots, cfg.bfs_mode, &mut rng, true, stats)?;
+    run_bfs_phase(g, &mut smat, 1, cfg.pivots, cfg.bfs_mode, &mut rng, stats)?;
 
     // ---- Checkpoint (post-BFS: everything after is deterministic in B) --
     if let Some(spec) = ckpt {
@@ -221,15 +220,7 @@ fn pipeline_once<G: GraphStore>(
         checkpoint::write_post_bfs(spec, g, cfg, p, seed, &stats.sources, &smat.data()[n..])?;
     }
 
-    pipeline_from_s(g, cfg, p, smat, stats)
-}
-
-pub(crate) fn assert_connected(reached: usize, n: usize) {
-    assert_eq!(
-        reached, n,
-        "ParHDE requires a connected graph ({reached} of {n} vertices \
-         reached); extract the largest component first (paper §4.1)"
-    );
+    pipeline_from_s(g, cfg, p, smat, None, stats)
 }
 
 #[cfg(test)]

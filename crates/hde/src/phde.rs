@@ -161,7 +161,7 @@ pub(crate) fn run_pca(
 
         // BFS phase (shared with ParHDE).
         let mut c = ColMajorMatrix::zeros(n, cfg.subspace);
-        run_bfs_phase(g, c.data_mut(), cfg.pivots, cfg.bfs_mode, &mut rng, true, stats)?;
+        run_bfs_phase(g, &mut c, 0, cfg.pivots, cfg.bfs_mode, &mut rng, stats)?;
 
         let ph = begin(pca.phase);
         (pca.center)(&mut c);

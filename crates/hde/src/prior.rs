@@ -14,17 +14,22 @@
 //! projection) matches ParHDE, so the measured gap between the two isolates
 //! exactly the contributions the paper claims. Expect the baseline's
 //! breakdown to be BFS-dominated (Figure 3, right chart).
+//!
+//! So the baseline is ParHDE pinned to the prior code's choices — one
+//! sequential BFS per pivot, MGS, the staged triple product and projection
+//! from `S` — with its materialized Laplacian plugged into the shared
+//! driver's tail.
 
 use crate::bfs_phase::run_bfs_phase;
-use crate::config::ParHdeConfig;
-use crate::driver::{eigensolve, project, strict};
+use crate::config::{BfsMode, LinalgMode, OrthoMethod, ParHdeConfig};
+use crate::driver::{pipeline_from_s, strict, Laplacian, Run};
+use crate::error::HdeError;
 use crate::layout::Layout;
 use crate::stats::{begin, phase, recorded, HdeStats};
 use parhde_graph::CsrGraph;
 use parhde_linalg::dense::ColMajorMatrix;
-use parhde_linalg::gemm::at_b;
-use parhde_linalg::ortho::mgs;
 use parhde_linalg::spmm::ExplicitLaplacian;
+use parhde_linalg::LinalgError;
 use parhde_util::Xoshiro256StarStar;
 
 /// Runs the prior-work HDE baseline.
@@ -32,59 +37,51 @@ use parhde_util::Xoshiro256StarStar;
 /// # Panics
 /// Panics under the same conditions as [`crate::par_hde`].
 pub fn prior_hde(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
-    recorded(|| prior(g, cfg))
+    let (coords, stats) = strict(recorded(|| prior(g, cfg)));
+    (Layout::from_coords(&coords), stats)
 }
 
-fn prior(g: &CsrGraph, cfg: &ParHdeConfig) -> (Layout, HdeStats) {
+fn prior(g: &CsrGraph, cfg: &ParHdeConfig) -> Result<(ColMajorMatrix, HdeStats), HdeError> {
     let n = g.num_vertices();
-    strict(cfg.validate(n));
-    let s = cfg.subspace;
+    cfg.validate(n)?;
+    let cfg = ParHdeConfig {
+        bfs_mode: BfsMode::PerSource,
+        ortho: OrthoMethod::Mgs,
+        linalg_mode: LinalgMode::Staged,
+        project_from_raw: false,
+        ..cfg.clone()
+    };
     let _root = parhde_trace::span!("prior_hde");
-    let mut stats = HdeStats { s_requested: s, ..HdeStats::default() };
-    let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed);
+    Run::strict(cfg.subspace).once(cfg.backend, |stats| {
+        // Sequential BFS phase (the decisive difference), straight into
+        // columns 1..=s of S.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(cfg.seed);
+        let mut smat = ColMajorMatrix::zeros(n, cfg.subspace + 1);
+        run_bfs_phase(g, &mut smat, 1, cfg.pivots, cfg.bfs_mode, &mut rng, stats)?;
 
-    // Sequential BFS phase (the decisive difference), straight into
-    // columns 1..=s of S. Budget trips inside the phase surface as the
-    // panic below, like every other strict defect.
-    let mut smat = ColMajorMatrix::zeros(n, s + 1);
-    let b = &mut smat.data_mut()[n..];
-    strict(run_bfs_phase(g, b, cfg.pivots, cfg.bfs_mode, &mut rng, false, &mut stats));
+        // Materialize the Laplacian the way the prior code does.
+        let ph = begin(phase::INIT);
+        let lap = Materialized { g, lap: ExplicitLaplacian::build(g) };
+        drop(ph);
+        pipeline_from_s(&lap, &cfg, 2, smat, None, stats)
+    })
+}
 
-    // Finish S and materialize the Laplacian the way the prior code does.
-    let ph = begin(phase::INIT);
-    smat.col_mut(0).fill(1.0 / (n as f64).sqrt());
-    let degrees = g.degree_vector();
-    let laplacian = ExplicitLaplacian::build(g);
-    drop(ph);
+/// The prior code's Laplacian: built once as an explicit sparse matrix,
+/// then multiplied as one.
+struct Materialized<'g> {
+    g: &'g CsrGraph,
+    lap: ExplicitLaplacian,
+}
 
-    // D-orthogonalization (MGS, as in the prior code).
-    let ph = begin(phase::DORTHO);
-    let weights = cfg.d_orthogonalize.then_some(degrees.as_slice());
-    let outcome = mgs(&mut smat, weights, cfg.drop_tolerance);
-    debug_assert_eq!(outcome.kept.first(), Some(&0));
-    let survivors: Vec<usize> = (1..smat.cols()).collect();
-    smat.retain_columns(&survivors);
-    stats.dropped_columns = outcome.dropped.len();
-    stats.s_kept = smat.cols();
-    drop(ph);
-    // Trip wins over the spurious degeneracy an abandoned ortho creates.
-    crate::supervise::budget_check_strict(phase::DORTHO);
-    assert!(smat.cols() >= 2, "fewer than two directions survived");
+impl Laplacian for Materialized<'_> {
+    fn degrees(&self) -> Vec<f64> {
+        self.g.degree_vector()
+    }
 
-    // TripleProd through the explicit Laplacian.
-    let ph = begin(phase::LS);
-    let p = laplacian.spmm(&smat);
-    drop(ph);
-    crate::supervise::budget_check_strict(phase::LS);
-    let ph = begin(phase::GEMM);
-    let z = at_b(&smat, &p);
-    drop(ph);
-    crate::supervise::budget_check_strict(phase::GEMM);
-
-    // Eigensolve + projection, ParHDE's own steps.
-    let y = strict(eigensolve(&smat, &z, weights, 2, &mut stats));
-    let coords = strict(project(&smat, &y));
-    (Layout::from_coords(&coords), stats)
+    fn spmm(&self, _: &[f64], s: &ColMajorMatrix) -> Result<ColMajorMatrix, LinalgError> {
+        Ok(self.lap.spmm(s))
+    }
 }
 
 #[cfg(test)]

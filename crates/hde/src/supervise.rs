@@ -8,10 +8,10 @@
 //!   [`HdeError`] at a phase boundary, and polls resident-set size against
 //!   the soft memory budget (kernels never poll memory — an RSS read is a
 //!   `/proc` file read, far too slow for a hot loop);
-//! * [`estimate_run_bytes`]/[`admit`] implement pre-run memory admission:
-//!   the run is rejected or its subspace dimension shrunk *before* the big
-//!   allocations happen, so the soft budget is respected by construction
-//!   rather than by after-the-fact unwinding;
+//! * [`estimate_run_bytes_stored`]/[`admit_stored`] implement pre-run
+//!   memory admission: the run is rejected or its subspace dimension shrunk
+//!   *before* the big allocations happen, so the soft budget is respected
+//!   by construction rather than by after-the-fact unwinding;
 //! * [`try_par_hde_nd_supervised`] walks the degraded-retry ladder: when a
 //!   rung trips its slice of the deadline (or the memory budget), the next
 //!   rung retries with a cheaper configuration, ending at a trivial layout
@@ -22,14 +22,14 @@
 //! A single wall-clock deadline `D` covers the *whole* supervised run, not
 //! each rung. The ladder arms per-rung deadlines at fixed fractions of `D`
 //! measured from the supervised start — 0.55·D for the full run, 0.75·D
-//! after one halving, 0.9·D for the batched-BFS rung, 0.97·D for the PHDE
+//! after one halving, 0.9·D for the random-pivots rung, 0.97·D for the PHDE
 //! fallback — so even a run that exhausts every rung produces its trivial
 //! layout and returns within a small overshoot of `D` (the distance the
 //! active kernel travels between two cooperative checks).
 
 use crate::checkpoint::CheckpointSpec;
 use crate::config::{BfsMode, LinalgMode, ParHdeConfig, PivotStrategy};
-use crate::driver::{strict, Mode};
+use crate::driver::Mode;
 use crate::error::{trivial_coords, HdeError, Warning};
 use crate::parhde::{run_nd, Source};
 use crate::phde::{run_pca, PhdeConfig, PHDE};
@@ -61,13 +61,6 @@ pub(crate) fn budget_check(phase: &'static str) -> Result<(), HdeError> {
     }
 }
 
-/// [`budget_check`] for the strict (panicking) pipelines: trips surface as
-/// a panic carrying the typed error's message, mirroring how strict entry
-/// points report every other defect.
-pub(crate) fn budget_check_strict(phase: &'static str) {
-    strict(budget_check(phase));
-}
-
 /// One RSS-vs-budget poll. `VmRSS` (not the `VmHWM` high-water mark) so a
 /// rung retried after freeing the tripped allocation is not condemned by
 /// history it no longer occupies. RSS measures the whole process, so runs
@@ -84,48 +77,29 @@ fn poll_memory() {
     }
 }
 
-/// Estimated peak working set, in bytes, of a ParHDE run on a graph with
-/// `n` vertices and `m` undirected edges using `s` pivots and a
-/// `p`-dimensional embedding — the input to memory admission.
+/// Estimated peak working set, in bytes, of a ParHDE run on `g` using `s`
+/// pivots and a `p`-dimensional embedding — the input to memory
+/// admission.
 ///
-/// Counts the CSR graph itself (offsets + adjacency), the `n×(s+1)` basis
-/// `S` (the BFS phase writes the distance matrix `B` straight into its
-/// columns, so `B` costs nothing of its own), the TripleProd working set (under
-/// [`LinalgMode::Staged`] the materialized `L·S` product plus the SpMM's
-/// collected row-block partials plus the packed row-major copy of `S` —
-/// peak 3×`n×(s+1)`; under [`LinalgMode::Fused`] just the pack), the
-/// degree vector, per-mode BFS scratch (bit-lane rows for
-/// [`BfsMode::Batched`], a distance buffer otherwise), the small `s×s`
-/// matrices, and the output coordinates. Deliberately a slight
-/// *over*-estimate: admission should err toward downscaling, since the
-/// runtime RSS trip that backstops it is much more disruptive.
+/// Counts the graph as the store holds it: its resident footprint (a plain
+/// CSR's offsets plus adjacency; heap-held varint blocks, or just the
+/// offset/degree sidecars when the blocks live in a file mapping the
+/// kernel pages on demand) plus, on compressed storage, one max-degree
+/// decode scratch per worker thread, which is what the chunked kernels
+/// actually allocate. Then the `n×(s+1)` basis `S` (the BFS phase writes
+/// the distance matrix `B` straight into its columns, so `B` costs nothing
+/// of its own), the TripleProd working set (under [`LinalgMode::Staged`]
+/// the materialized `L·S` product plus the SpMM's collected row-block
+/// partials plus the packed row-major copy of `S` — peak 3×`n×(s+1)`;
+/// under [`LinalgMode::Fused`] just the pack), the degree vector, per-mode
+/// BFS scratch (bit-lane rows for [`BfsMode::Batched`], a distance buffer
+/// otherwise), the small `s×s` matrices, and the output coordinates.
+/// Deliberately a slight *over*-estimate: admission should err toward
+/// downscaling, since the runtime RSS trip that backstops it is much more
+/// disruptive.
 ///
 /// Prices the default pipeline; a `project_from_raw` run also keeps its
 /// own copy of `B`, which [`admit_stored`] adds when told so.
-pub fn estimate_run_bytes(
-    n: usize,
-    m: usize,
-    s: usize,
-    p: usize,
-    mode: BfsMode,
-    linalg: LinalgMode,
-) -> u64 {
-    let graph = (n as u64 + 1) * 8 + 2 * m as u64 * 4; // offsets + symmetric u32 adjacency
-    graph + estimate_workspace_bytes(n, s, p, mode, linalg, false)
-}
-
-/// [`estimate_run_bytes`] with the graph term priced from the store that
-/// will actually be traversed instead of the plain-CSR formula.
-///
-/// For [`StorageKind::Plain`](parhde_graph::store::StorageKind) the two
-/// agree exactly (a `CsrGraph`'s resident bytes *are* its offsets plus
-/// adjacency). Compressed storage is charged its resident footprint —
-/// heap-held varint blocks, or just the offset/degree sidecars when the
-/// blocks live in a file mapping the kernel pages on demand — plus one
-/// max-degree decode scratch per worker thread, which is what the chunked
-/// kernels actually allocate. This is how admission learns that a
-/// compressed or mmap-backed graph leaves more of the budget for the
-/// subspace.
 pub fn estimate_run_bytes_stored<G: GraphStore>(
     g: &G,
     s: usize,
@@ -157,8 +131,8 @@ fn stored_estimate<G: GraphStore>(
 }
 
 /// The non-graph share of the peak working set: everything
-/// [`estimate_run_bytes`] counts except the graph's own storage, plus the
-/// `n×s` copy of `B` when `keeps_raw`.
+/// [`estimate_run_bytes_stored`] counts except the graph's own storage,
+/// plus the `n×s` copy of `B` when `keeps_raw`.
 fn estimate_workspace_bytes(
     n: usize,
     s: usize,
@@ -207,27 +181,14 @@ pub struct Admission {
     pub downscaled: bool,
 }
 
-/// Decides whether a run fits `budget_bytes`, halving the subspace
-/// dimension (never below `max(p, 2)`) until the estimate fits. Returns
-/// `None` when even the smallest usable subspace does not fit — the caller
-/// degrades straight to a trivial layout.
-pub fn admit(
-    n: usize,
-    m: usize,
-    s: usize,
-    p: usize,
-    mode: BfsMode,
-    linalg: LinalgMode,
-    budget_bytes: u64,
-) -> Option<Admission> {
-    admit_with(s, p, budget_bytes, |cur| estimate_run_bytes(n, m, cur, p, mode, linalg))
-}
-
-/// [`admit`] priced against the actual store via
-/// [`estimate_run_bytes_stored`]: a compressed or mmap-backed graph's
-/// smaller resident footprint admits larger subspaces under the same
-/// budget. `keeps_raw` (the run's `project_from_raw`) adds the copy of
-/// `B` that configuration keeps beside `S`.
+/// Decides whether a run on `g` fits `budget_bytes`, priced by
+/// [`estimate_run_bytes_stored`], halving the subspace dimension (never
+/// below `max(p, 2)`) until the estimate fits. A compressed or mmap-backed
+/// graph's smaller resident footprint admits larger subspaces under the
+/// same budget. `keeps_raw` (the run's `project_from_raw`) adds the copy
+/// of `B` that configuration keeps beside `S`. Returns `None` when even
+/// the smallest usable subspace does not fit — the caller degrades
+/// straight to a trivial layout.
 pub fn admit_stored<G: GraphStore>(
     g: &G,
     s: usize,
@@ -296,7 +257,7 @@ pub struct Supervised {
     /// successful rung.
     pub stats: HdeStats,
     /// Label of the rung that produced `coords`: `"full"`,
-    /// `"halved_pivots"`, `"batched_bfs"`, `"phde"` or `"trivial"`.
+    /// `"halved_pivots"`, `"random_pivots"`, `"phde"` or `"trivial"`.
     pub rung: &'static str,
 }
 
@@ -306,26 +267,24 @@ impl Recorded for Supervised {
     }
 }
 
-/// Fractions of the total deadline at which each rung must be done.
-const SLICE_FULL: f64 = 0.55;
-const SLICE_HALVED: f64 = 0.75;
-const SLICE_BATCHED: f64 = 0.90;
-const SLICE_PHDE: f64 = 0.97;
+/// The spectral rungs of the ladder, cheapest last, each with the
+/// fraction of the total deadline by which it must be done.
+const RUNGS: [(&str, f64); 4] =
+    [("full", 0.55), ("halved_pivots", 0.75), ("random_pivots", 0.90), ("phde", 0.97)];
 
 /// Supervised fail-soft ParHDE: runs [`crate::try_par_hde_nd`] under a
 /// [`RunBudget`] and degrades through the retry ladder instead of failing
 /// when the deadline or memory budget trips.
 ///
 /// The ladder, cheapest-last: the full configuration → half the pivots →
-/// batched-BFS with random pivots → the PHDE pipeline (2-D runs only) → a
-/// trivial line layout. Only *budget* trips (deadline, memory) descend the
-/// ladder; cancellation and every ordinary pipeline error return
-/// immediately. Each abandoned rung is recorded as one
-/// [`Warning::LadderStep`], and the trivial rung as a
-/// [`Warning::BudgetSpent`] naming the budget that ran out. Every
-/// attempted rung writes `opts.checkpoint`
-/// after its BFS phase, so even an interrupted degraded run leaves a
-/// resumable checkpoint behind.
+/// random pivots, whose traversals the BFS-phase planner schedules side
+/// by side → the PHDE pipeline (2-D runs only) → a trivial line layout.
+/// Only *budget* trips (deadline, memory) descend the ladder; cancellation
+/// and every ordinary pipeline error return immediately. Each abandoned
+/// rung is recorded as one [`Warning::LadderStep`], and the trivial rung
+/// as a [`Warning::BudgetSpent`] naming the budget that ran out. Every
+/// attempted rung writes `opts.checkpoint` after its BFS phase, so even an
+/// interrupted degraded run leaves a resumable checkpoint behind.
 ///
 /// Installs the run's budget on the calling thread for its whole duration
 /// ([`supervisor::install`]); an install the caller holds is shadowed
@@ -417,45 +376,11 @@ fn supervised<G: GraphStore>(
     }
 
     // ---- The ladder ------------------------------------------------------
-    let rungs: [(&'static str, f64); 4] = [
-        ("full", SLICE_FULL),
-        ("halved_pivots", SLICE_HALVED),
-        ("batched_bfs", SLICE_BATCHED),
-        ("phde", SLICE_PHDE),
-    ];
     let mut rung_cfg = cfg.clone();
     let mut spent = String::from("the run budget");
-    for (rung, slice) in rungs {
-        // Specialize the configuration for this rung; a rung that cannot
-        // change anything (or does not apply) is skipped silently.
-        match rung {
-            "full" => {}
-            "halved_pivots" => {
-                let floor = p.max(2).min(rung_cfg.subspace);
-                let halved = (rung_cfg.subspace / 2).max(floor);
-                if halved == rung_cfg.subspace {
-                    continue;
-                }
-                rung_cfg.subspace = halved;
-            }
-            "batched_bfs" => {
-                if rung_cfg.pivots == PivotStrategy::Random
-                    && rung_cfg.bfs_mode == BfsMode::Batched
-                {
-                    continue;
-                }
-                // K-centers pivots serialize the traversals; the batched
-                // kernel needs independent (random) pivots.
-                rung_cfg.pivots = PivotStrategy::Random;
-                rung_cfg.bfs_mode = BfsMode::Batched;
-            }
-            "phde" => {
-                if p != 2 || n < 3 || g.as_csr().is_none() {
-                    continue;
-                }
-            }
-            _ => unreachable!("unknown rung"),
-        }
+    for (rung, slice) in RUNGS {
+        let Some(next) = rung_config(rung, &rung_cfg, g, p) else { continue };
+        rung_cfg = next;
         if let Some(d) = opts.deadline {
             budget.arm_deadline_at(start + d.mul_f64(slice));
         }
@@ -500,6 +425,46 @@ fn supervised<G: GraphStore>(
     Ok(trivial(n, p, cfg.subspace, spent))
 }
 
+/// The configuration `rung` runs, specialized from the previous rung's
+/// `prev`, or `None` where the rung would change nothing or does not apply
+/// (the ladder then skips it silently).
+fn rung_config<G: GraphStore>(
+    rung: &str,
+    prev: &ParHdeConfig,
+    g: &G,
+    p: usize,
+) -> Option<ParHdeConfig> {
+    let mut cfg = prev.clone();
+    match rung {
+        "full" => {}
+        "halved_pivots" => {
+            let floor = p.max(2).min(cfg.subspace);
+            let halved = (cfg.subspace / 2).max(floor);
+            if halved == cfg.subspace {
+                return None;
+            }
+            cfg.subspace = halved;
+        }
+        "random_pivots" => {
+            // K-centers pivots serialize the traversals; independent ones
+            // let the planner run them side by side, per source or batched,
+            // whichever suits the graph.
+            if cfg.pivots == PivotStrategy::Random && cfg.bfs_mode == BfsMode::Auto {
+                return None;
+            }
+            cfg.pivots = PivotStrategy::Random;
+            cfg.bfs_mode = BfsMode::Auto;
+        }
+        "phde" => {
+            if p != 2 || g.num_vertices() < 3 || g.as_csr().is_none() {
+                return None;
+            }
+        }
+        _ => unreachable!("unknown rung"),
+    }
+    Some(cfg)
+}
+
 /// The trivial rung: the line layout, recorded with a warning that names
 /// the `budget` no spectral rung fit.
 fn trivial(n: usize, p: usize, s_requested: usize, budget: String) -> Supervised {
@@ -514,47 +479,57 @@ fn trivial(n: usize, p: usize, s_requested: usize, budget: String) -> Supervised
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs_phase::{plan_bfs_phase_stored, PlannedBfsMode};
+    use parhde_graph::gen::{grid2d, pref_attach};
+    use parhde_graph::CsrGraph;
+
+    /// The estimate under the default, fused TripleProd.
+    fn estimate(g: &CsrGraph, s: usize, p: usize) -> u64 {
+        estimate_run_bytes_stored(g, s, p, BfsMode::Auto, LinalgMode::Fused)
+    }
 
     #[test]
     fn estimate_grows_with_every_dimension() {
-        let base = estimate_run_bytes(10_000, 40_000, 10, 2, BfsMode::Auto, LinalgMode::Fused);
-        assert!(estimate_run_bytes(20_000, 40_000, 10, 2, BfsMode::Auto, LinalgMode::Fused) > base);
-        assert!(estimate_run_bytes(10_000, 80_000, 10, 2, BfsMode::Auto, LinalgMode::Fused) > base);
-        assert!(estimate_run_bytes(10_000, 40_000, 20, 2, BfsMode::Auto, LinalgMode::Fused) > base);
-        assert!(estimate_run_bytes(10_000, 40_000, 10, 3, BfsMode::Auto, LinalgMode::Fused) > base);
+        let g = pref_attach(10_000, 2, 1);
+        let base = estimate(&g, 10, 2);
+        assert!(estimate(&pref_attach(20_000, 2, 1), 10, 2) > base);
+        assert!(estimate(&pref_attach(10_000, 4, 1), 10, 2) > base);
+        assert!(estimate(&g, 20, 2) > base);
+        assert!(estimate(&g, 10, 3) > base);
     }
 
     #[test]
     fn fused_estimate_is_below_staged() {
         // The fused TripleProd skips the materialized L·S product; the
         // estimate must reflect that so admission admits larger subspaces.
-        let fused =
-            estimate_run_bytes(100_000, 400_000, 50, 2, BfsMode::Auto, LinalgMode::Fused);
-        let staged =
-            estimate_run_bytes(100_000, 400_000, 50, 2, BfsMode::Auto, LinalgMode::Staged);
+        let g = grid2d(400, 250);
+        let staged = estimate_run_bytes_stored(&g, 50, 2, BfsMode::Auto, LinalgMode::Staged);
         // Two S-shaped buffers of difference: the materialized product's
         // partials and its assembled output (both paths share the packed
         // row-major copy of `S`).
-        assert_eq!(staged - fused, 2 * 100_000 * 51 * 8);
+        assert_eq!(staged - estimate(&g, 50, 2), 2 * 100_000 * 51 * 8);
     }
 
     #[test]
     fn estimate_is_plausible_for_a_known_shape() {
         // 100k vertices, 10 pivots: S alone is 100_000 × 11 × 8 = 8.8 MB;
         // the total should be the same order of magnitude, not wildly off.
-        let est = estimate_run_bytes(100_000, 400_000, 10, 2, BfsMode::Auto, LinalgMode::Fused);
+        let g = grid2d(400, 250);
+        assert_eq!((g.num_vertices(), g.num_edges()), (100_000, 199_350));
+        let est = estimate(&g, 10, 2);
         assert!(est > 8_800_000, "below the S matrix alone: {est}");
         assert!(est < 80_000_000, "order of magnitude too high: {est}");
-        // Term by term: graph 4_000_008, S 8_800_000, the fused pack of S
-        // 8_800_000, degrees 800_000, BFS buffers 1_600_000, the small
-        // matrices 2_904, coordinates 1_600_000. B has no term of its own:
-        // the BFS writes it into S.
-        assert_eq!(est, 25_602_912);
+        // Term by term: graph 2_394_808 (offsets 800_008, adjacency
+        // 1_594_800), S 8_800_000, the fused pack of S 8_800_000, degrees
+        // 800_000, BFS buffers 1_600_000, the small matrices 2_904,
+        // coordinates 1_600_000. B has no term of its own: the BFS writes
+        // it into S.
+        assert_eq!(est, 23_997_712);
     }
 
     #[test]
     fn only_raw_projection_prices_a_copy_of_b() {
-        let g = parhde_graph::gen::grid2d(40, 30);
+        let g = grid2d(40, 30);
         let (mode, linalg) = (BfsMode::Auto, LinalgMode::Fused);
         let plain = admit_stored(&g, 12, 2, mode, linalg, false, u64::MAX).unwrap();
         let raw = admit_stored(&g, 12, 2, mode, linalg, true, u64::MAX).unwrap();
@@ -564,15 +539,17 @@ mod tests {
 
     #[test]
     fn admission_accepts_when_budget_is_ample() {
-        let a = admit(10_000, 40_000, 10, 2, BfsMode::Auto, LinalgMode::Fused, u64::MAX).unwrap();
+        let g = grid2d(100, 100);
+        let a = admit_stored(&g, 10, 2, BfsMode::Auto, LinalgMode::Fused, false, u64::MAX).unwrap();
         assert_eq!(a.subspace, 10);
         assert!(!a.downscaled);
     }
 
     #[test]
     fn admission_downscales_by_halving() {
-        let full = estimate_run_bytes(100_000, 400_000, 48, 2, BfsMode::Auto, LinalgMode::Fused);
-        let a = admit(100_000, 400_000, 48, 2, BfsMode::Auto, LinalgMode::Fused, full - 1).unwrap();
+        let g = grid2d(400, 250);
+        let full = estimate(&g, 48, 2);
+        let a = admit_stored(&g, 48, 2, BfsMode::Auto, LinalgMode::Fused, false, full - 1).unwrap();
         assert!(a.downscaled);
         assert!(a.subspace < 48 && a.subspace >= 2);
         assert!(a.estimated_bytes < full);
@@ -580,32 +557,44 @@ mod tests {
 
     #[test]
     fn admission_rejects_impossible_budgets() {
-        assert_eq!(admit(100_000, 400_000, 10, 2, BfsMode::Auto, LinalgMode::Fused, 1024), None);
+        let g = grid2d(400, 250);
+        assert_eq!(admit_stored(&g, 10, 2, BfsMode::Auto, LinalgMode::Fused, false, 1024), None);
     }
 
     #[test]
     fn admission_floor_is_embedding_dimension() {
-        let floor = estimate_run_bytes(50_000, 200_000, 3, 3, BfsMode::Auto, LinalgMode::Fused);
-        let a = admit(50_000, 200_000, 40, 3, BfsMode::Auto, LinalgMode::Fused, floor).unwrap();
+        let g = grid2d(250, 200);
+        let floor = estimate(&g, 3, 3);
+        let a = admit_stored(&g, 40, 3, BfsMode::Auto, LinalgMode::Fused, false, floor).unwrap();
         assert!(a.subspace >= 3);
     }
 
     #[test]
     fn stored_estimate_matches_formula_on_plain_csr() {
-        // A plain CSR's resident bytes are exactly the offsets + adjacency
-        // the formula charges, so the two estimates must agree bit-for-bit
-        // (admission behavior is unchanged for in-RAM graphs).
-        let g = parhde_graph::gen::grid2d(40, 30);
-        let est = estimate_run_bytes_stored(&g, 12, 2, BfsMode::Auto, LinalgMode::Fused);
-        let formula = estimate_run_bytes(
-            g.num_vertices(),
-            g.num_edges(),
-            12,
-            2,
-            BfsMode::Auto,
-            LinalgMode::Fused,
-        );
-        assert_eq!(est, formula);
+        // A plain CSR's resident bytes are exactly its offsets and its
+        // symmetric u32 adjacency, so that is the whole graph term.
+        let g = grid2d(40, 30);
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let workspace = estimate_workspace_bytes(n, 12, 2, BfsMode::Auto, LinalgMode::Fused, false);
+        let formula = (n as u64 + 1) * 8 + 2 * m as u64 * 4 + workspace;
+        assert_eq!(estimate(&g, 12, 2), formula);
+    }
+
+    #[test]
+    fn the_random_pivots_rung_lets_the_planner_keep_a_grid_per_source() {
+        // On a mesh the shared sweep of the batched kernel pays one round
+        // per level; the planner keeps such graphs per-source, and the
+        // rung must leave it that choice.
+        let g = grid2d(100, 100);
+        let cfg = rung_config("random_pivots", &ParHdeConfig::default(), &g, 2).unwrap();
+        assert_eq!(cfg.pivots, PivotStrategy::Random);
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let plan = plan_bfs_phase_stored(n, m, cfg.subspace, 2, cfg.bfs_mode, g.storage());
+        assert_eq!(plan.mode, PlannedBfsMode::PerSource, "{}", plan.reason);
+        // Random pivots under the planner already: the rung changes nothing.
+        assert!(rung_config("random_pivots", &cfg, &g, 2).is_none());
+        let forced = ParHdeConfig { bfs_mode: BfsMode::Batched, ..cfg };
+        assert_eq!(rung_config("random_pivots", &forced, &g, 2).unwrap().bfs_mode, BfsMode::Auto);
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //! `crate::driver`'s, the tail running on the similarity-weighted
 //! Laplacian.
 
-use crate::bfs_phase::kcenters;
+use crate::bfs_phase::{kcenters, random_pivots};
 use crate::config::{ParHdeConfig, PivotStrategy};
 use crate::driver::{self, pipeline_from_s, strict, Mode, Prepared, Similarities};
 use crate::error::HdeError;
 use crate::layout::Layout;
-use crate::stats::{begin, phase, recorded, HdeStats};
+use crate::stats::{recorded, HdeStats};
 use parhde_graph::{prep, CsrGraph, WeightedCsr};
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_sssp::delta_stepping::delta_stepping_into_f64;
@@ -170,7 +170,7 @@ fn run_weighted(
 
     run.retry(mode, cfg.backend, cfg.seed, |seed, stats| {
         let smat = sssp_phase(&lengths, &cfg, delta, seed, stats)?;
-        pipeline_from_s(&Similarities(&sims), &cfg, 2, smat, stats)
+        pipeline_from_s(&Similarities(&sims), &cfg, 2, smat, None, stats)
     })
 }
 
@@ -187,37 +187,20 @@ fn sssp_phase(
     let s = cfg.subspace;
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let mut smat = ColMajorMatrix::zeros(n, s + 1);
-    let b = &mut smat.data_mut()[n..];
-
     match cfg.pivots {
         PivotStrategy::KCenters => {
             let sssp = |src, col: &mut [f64]| delta_stepping_into_f64(g, src, delta, col);
-            kcenters(n, b, &mut rng, stats, sssp)?;
+            kcenters(&mut smat, 1, &mut rng, stats, sssp, |_, _| Ok(()))?;
         }
-        PivotStrategy::Random => {
-            let ph = begin(phase::BFS_OTHER);
-            let sources: Vec<u32> = rng
-                .sample_distinct(n, s)
-                .into_iter()
-                .map(|v| v as u32)
-                .collect();
-            stats.sources = sources.clone();
-            drop(ph);
-            let ph = begin(phase::BFS);
+        PivotStrategy::Random => random_pivots(&mut smat, 1, &mut rng, stats, |sources, b| {
             let reached: Vec<usize> = sources
                 .par_iter()
                 .zip(b.par_chunks_mut(n))
                 .map(|(&src, col)| delta_stepping_into_f64(g, src, delta, col))
                 .collect();
-            drop(ph);
-            // As above: the trip outranks the partial reach it causes.
-            crate::supervise::budget_check(phase::BFS)?;
-            if reached[0] != n {
-                return Err(HdeError::Disconnected { reached: reached[0], n });
-            }
-        }
+            reached.first().copied().unwrap_or(n)
+        })?,
     }
-
     Ok(smat)
 }
 
@@ -250,13 +233,14 @@ mod tests {
                 let prepared = driver::prepare(n, 2, mode, &mut s, Some(wg.graph()), largest);
                 let Ok(Prepared::Run(run)) = prepared else { panic!("expected a plain run") };
                 run.retry(mode, LinalgBackend::default(), 7, |seed, stats| {
-                    let mut b = vec![0.0; n * s];
+                    let mut b = ColMajorMatrix::zeros(n, s);
                     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-                    kcenters(n, &mut b, &mut rng, stats, |src, col| {
+                    let sssp = |src, col: &mut [f64]| {
                         let reached = delta_stepping_into_f64(&wg, src, 1.0, col);
                         col[(src as usize + 1) % n] = f64::NAN;
                         reached
-                    })
+                    };
+                    kcenters(&mut b, 0, &mut rng, stats, sssp, |_, _| Ok(()))
                 })
             })
             .unwrap();

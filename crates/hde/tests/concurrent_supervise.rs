@@ -4,7 +4,7 @@
 //! layouts side by side on exactly this.
 
 use parhde::config::ParHdeConfig;
-use parhde::supervise::estimate_run_bytes;
+use parhde::supervise::estimate_run_bytes_stored;
 use parhde::{try_par_hde_nd, try_par_hde_nd_supervised, HdeError, SuperviseOptions, Warning};
 use parhde_graph::gen::grid2d;
 use parhde_util::cancel_flag;
@@ -55,17 +55,9 @@ fn contending_runs_under_one_shared_memory_budget_degrade_not_die() {
     // the admission-downscale warning, never by killing the process.
     let g = grid2d(40, 40);
     let n = g.num_vertices();
-    let m = g.num_edges();
     let cfg = ParHdeConfig::with_subspace(32);
-    let full = estimate_run_bytes(
-        n,
-        m,
-        32,
-        2,
-        cfg.bfs_mode,
-        cfg.linalg_mode,
-    );
-    let halved = estimate_run_bytes(n, m, 16, 2, cfg.bfs_mode, cfg.linalg_mode);
+    let estimate = |s| estimate_run_bytes_stored(&g, s, 2, cfg.bfs_mode, cfg.linalg_mode);
+    let (full, halved) = (estimate(32), estimate(16));
     assert!(halved < full);
     let budget_bytes = (full + halved) / 2; // fits 16 pivots, not 32
 

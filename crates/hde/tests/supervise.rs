@@ -7,7 +7,7 @@
 //! budget honors it.
 
 use parhde::config::ParHdeConfig;
-use parhde::supervise::estimate_run_bytes;
+use parhde::supervise::estimate_run_bytes_stored;
 use parhde::{
     try_par_hde_nd, try_par_hde_nd_checkpointed, try_par_hde_nd_supervised,
     try_par_hde_resume, Checkpoint, CheckpointSpec, HdeError, SuperviseOptions,
@@ -74,7 +74,7 @@ fn zero_deadline_walks_the_ladder_to_trivial() {
         .collect();
     assert_eq!(
         rungs,
-        vec!["full", "halved_pivots", "batched_bfs", "phde"],
+        vec!["full", "halved_pivots", "random_pivots", "phde"],
         "every rung must be attempted and abandoned"
     );
     assert_eq!(sup.stats.warnings.len(), 5, "{:?}", sup.stats.warnings);
@@ -165,9 +165,8 @@ fn cancellation_is_sticky_and_never_walks_the_ladder() {
 fn memory_admission_downscales_and_warns() {
     let g = gen::grid2d(250, 250);
     let cfg = ParHdeConfig::default();
-    let (n, m) = (g.num_vertices(), g.num_edges());
-    let est_full = estimate_run_bytes(n, m, cfg.subspace, 2, cfg.bfs_mode, cfg.linalg_mode);
-    let est_half = estimate_run_bytes(n, m, cfg.subspace / 2, 2, cfg.bfs_mode, cfg.linalg_mode);
+    let estimate = |s| estimate_run_bytes_stored(&g, s, 2, cfg.bfs_mode, cfg.linalg_mode);
+    let (est_full, est_half) = (estimate(cfg.subspace), estimate(cfg.subspace / 2));
     assert!(est_half < est_full);
     // A budget between the halved and the full estimate forces exactly one
     // admission halving up front. (Runtime RSS polls may still trip on a
@@ -194,8 +193,7 @@ fn memory_admission_downscales_and_warns() {
 fn supervised_runs_export_the_admission_estimate() {
     let g = gen::grid2d(250, 250);
     let cfg = ParHdeConfig::default();
-    let (n, m) = (g.num_vertices(), g.num_edges());
-    let estimate = |s| estimate_run_bytes(n, m, s, 2, cfg.bfs_mode, cfg.linalg_mode);
+    let estimate = |s| estimate_run_bytes_stored(&g, s, 2, cfg.bfs_mode, cfg.linalg_mode);
     let gauge = |opts: &SuperviseOptions| {
         let session = parhde_trace::TraceSession::begin();
         let sup = try_par_hde_nd_supervised(&g, &cfg, 2, opts).unwrap();

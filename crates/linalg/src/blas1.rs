@@ -83,14 +83,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// D-weighted norm `√(xᵀ D x)`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn norm2_weighted(x: &[f64], d: &[f64]) -> f64 {
-    dot_weighted(x, d, x).sqrt()
-}
-
 /// Fills `x` with a constant.
 pub fn fill(x: &mut [f64], v: f64) {
     if x.len() < PAR_CHUNK {
@@ -285,12 +277,6 @@ mod tests {
         assert_eq!(norm2(&x), 5.0);
         scale(2.0, &mut x);
         assert_eq!(x, vec![6.0, 8.0]);
-    }
-
-    #[test]
-    fn weighted_norm() {
-        // xᵀDx = 1·2·1 + 2·3·2 = 14
-        assert!((norm2_weighted(&[1., 2.], &[2., 3.]) - 14f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -160,18 +160,6 @@ impl ColMajorMatrix {
         self.data.truncate(self.cols * rows);
     }
 
-    /// Transposed copy (row-major view materialized as a new column-major
-    /// matrix with swapped dimensions).
-    pub fn transpose(&self) -> ColMajorMatrix {
-        let mut t = ColMajorMatrix::zeros(self.cols, self.rows);
-        for c in 0..self.cols {
-            for r in 0..self.rows {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -249,19 +237,6 @@ mod tests {
         m.retain_columns(&[]);
         assert_eq!(m.cols(), 0);
         assert!(m.data().is_empty());
-    }
-
-    #[test]
-    fn transpose_swaps() {
-        let m = ColMajorMatrix::from_data(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        for r in 0..2 {
-            for c in 0..3 {
-                assert_eq!(m.get(r, c), t.get(c, r));
-            }
-        }
     }
 
     #[test]

@@ -301,26 +301,6 @@ impl ExplicitLaplacian {
     }
 }
 
-/// Single SpMV `y = A·x` over the plain adjacency (building block for power
-/// iteration and quality metrics).
-///
-/// # Panics
-/// Panics if `x` has the wrong length.
-pub fn adjacency_spmv(g: &CsrGraph, x: &[f64]) -> Vec<f64> {
-    let n = g.num_vertices();
-    assert_eq!(x.len(), n, "x length must equal n");
-    (0..n)
-        .into_par_iter()
-        .map(|v| {
-            let mut acc = 0.0;
-            for &u in g.neighbors(v as u32) {
-                acc += x[u as usize];
-            }
-            acc
-        })
-        .collect()
-}
-
 /// SpMV with the symmetric normalized adjacency `N = D^{-1/2} A D^{-1/2}`:
 /// `y_v = Σ_u x_u / √(d_v d_u)`. `inv_sqrt_deg[v]` must be `1/√deg(v)`
 /// (0 for isolated vertices). The dominant eigenvectors of `N` map to the
@@ -457,14 +437,6 @@ mod tests {
         let ones = ColMajorMatrix::from_data(16, 1, vec![1.0; 16]);
         let p = laplacian_spmm_weighted(&wg, &wg.weighted_degree_vector(), &ones);
         assert!(p.frobenius_norm() < 1e-12);
-    }
-
-    #[test]
-    fn adjacency_spmv_on_star() {
-        use parhde_graph::gen::star;
-        let g = star(4);
-        let y = adjacency_spmv(&g, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(y, vec![9.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The shared soft memory budget (DESIGN.md §13.3).
 //!
-//! PR 4's per-run memory admission ([`parhde::supervise::admit`]) assumed
-//! one run per process; a daemon runs many at once, so admission must be
-//! *across* concurrent requests: each reserves its estimated working set
-//! from one shared pool before running and releases it when done (RAII, so
-//! a panicking worker still releases). Two distinct rejections fall out:
+//! The supervisor's per-run memory admission
+//! ([`parhde::supervise::admit_stored`]) assumes one run per process; a
+//! daemon runs many at once, so admission must be *across* concurrent
+//! requests: each reserves its estimated working set from one shared pool
+//! before running and releases it when done (RAII, so a panicking worker
+//! still releases). Two distinct rejections fall out:
 //!
 //! * **never fits** — even the smallest usable subspace exceeds the whole
 //!   configured budget → 413, retrying is pointless;
@@ -13,7 +14,7 @@
 //!   from an EWMA of recent service times.
 
 use parhde::config::ParHdeConfig;
-use parhde::supervise::{estimate_run_bytes, estimate_run_bytes_stored};
+use parhde::supervise::estimate_run_bytes_stored;
 use parhde_graph::GraphStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -106,47 +107,26 @@ impl SharedSoftBudget {
         self.reserved.fetch_sub(bytes, Ordering::AcqRel);
     }
 
-    /// Admits one layout request against the budget: walks the subspace
-    /// down by halving (never below `max(p, 2)`) until the estimated
-    /// working set fits the currently free bytes, and reserves it.
+    /// Admits one layout request on `g` against the budget: walks the
+    /// subspace down by halving (never below `max(p, 2)`) until the
+    /// working set [`estimate_run_bytes_stored`] prices fits the currently
+    /// free bytes, and reserves it. The price is the request's actual
+    /// graph store: a packed mmap-backed snapshot reserves its (much
+    /// smaller) resident footprint, not the plain-CSR bytes it never
+    /// allocates, so more such requests run concurrently under the same
+    /// pool.
     ///
     /// # Errors
     /// [`AdmitError::NeverFits`] when the minimum subspace exceeds the
     /// *total* budget; [`AdmitError::Busy`] when it exceeds only what is
     /// free right now.
-    pub fn admit(
-        self: &Arc<Self>,
-        n: usize,
-        m: usize,
-        cfg: &ParHdeConfig,
-        p: usize,
-    ) -> Result<Reservation, AdmitError> {
-        self.admit_with(cfg, p, |s| {
-            estimate_run_bytes(n, m, s, p, cfg.bfs_mode, cfg.linalg_mode)
-        })
-    }
-
-    /// [`admit`](Self::admit) priced against the request's actual graph
-    /// store: a packed mmap-backed snapshot reserves its (much smaller)
-    /// resident footprint, not the plain-CSR bytes it never allocates, so
-    /// more such requests run concurrently under the same pool.
     pub fn admit_stored<G: GraphStore>(
         self: &Arc<Self>,
         g: &G,
         cfg: &ParHdeConfig,
         p: usize,
     ) -> Result<Reservation, AdmitError> {
-        self.admit_with(cfg, p, |s| {
-            estimate_run_bytes_stored(g, s, p, cfg.bfs_mode, cfg.linalg_mode)
-        })
-    }
-
-    fn admit_with(
-        self: &Arc<Self>,
-        cfg: &ParHdeConfig,
-        p: usize,
-        estimate: impl Fn(usize) -> u64,
-    ) -> Result<Reservation, AdmitError> {
+        let estimate = |s| estimate_run_bytes_stored(g, s, p, cfg.bfs_mode, cfg.linalg_mode);
         let floor = p.max(2);
         let requested = cfg.subspace.max(floor);
         let min_bytes = estimate(floor);
@@ -247,6 +227,8 @@ impl ServiceClock {
 mod tests {
     use super::*;
 
+    use parhde_graph::gen::grid2d;
+
     fn cfg(s: usize) -> ParHdeConfig {
         ParHdeConfig::with_subspace(s)
     }
@@ -254,7 +236,7 @@ mod tests {
     #[test]
     fn reservations_release_on_drop() {
         let b = SharedSoftBudget::new(1 << 30);
-        let r = b.admit(10_000, 40_000, &cfg(16), 2).unwrap();
+        let r = b.admit_stored(&grid2d(100, 100), &cfg(16), 2).unwrap();
         assert!(b.reserved() == r.bytes && r.bytes > 0);
         assert!(!r.downscaled);
         drop(r);
@@ -264,7 +246,7 @@ mod tests {
     #[test]
     fn impossible_requests_are_never_fits() {
         let b = SharedSoftBudget::new(1024);
-        match b.admit(1_000_000, 4_000_000, &cfg(16), 2) {
+        match b.admit_stored(&grid2d(100, 100), &cfg(16), 2) {
             Err(AdmitError::NeverFits { min_bytes, total }) => {
                 assert!(min_bytes > total);
             }
@@ -275,20 +257,14 @@ mod tests {
 
     #[test]
     fn contention_downscales_then_sheds_busy() {
-        let one_full = estimate_run_bytes(
-            50_000,
-            200_000,
-            32,
-            2,
-            cfg(32).bfs_mode,
-            cfg(32).linalg_mode,
-        );
+        let g = grid2d(250, 200);
+        let one_full = estimate_run_bytes_stored(&g, 32, 2, cfg(32).bfs_mode, cfg(32).linalg_mode);
         // Room for one full run and change, but not two.
         let b = SharedSoftBudget::new(one_full + one_full / 4);
-        let first = b.admit(50_000, 200_000, &cfg(32), 2).unwrap();
+        let first = b.admit_stored(&g, &cfg(32), 2).unwrap();
         assert!(!first.downscaled);
         // The second fits only by shrinking.
-        let second = b.admit(50_000, 200_000, &cfg(32), 2);
+        let second = b.admit_stored(&g, &cfg(32), 2);
         match &second {
             Ok(r) => assert!(r.downscaled && r.subspace < 32),
             Err(AdmitError::Busy { .. }) => {}
@@ -298,7 +274,7 @@ mod tests {
         drop(first);
         assert_eq!(b.reserved(), 0);
         // With the pool free again, the same request is admitted in full.
-        assert!(!b.admit(50_000, 200_000, &cfg(32), 2).unwrap().downscaled);
+        assert!(!b.admit_stored(&g, &cfg(32), 2).unwrap().downscaled);
     }
 
     #[test]

@@ -412,11 +412,6 @@ impl Server {
         self.shared.queue_cv.notify_all();
     }
 
-    /// Whether the daemon is draining.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining()
-    }
-
     /// Leftover `.tmp` files under the cache directory (chaos probe).
     pub fn stray_tmp_files(&self) -> Vec<PathBuf> {
         self.shared.cache.as_ref().map(|c| c.stray_tmp_files()).unwrap_or_default()
@@ -1085,8 +1080,14 @@ fn handle_layout_inner(
         .map(|ms| Duration::from_millis(ms).min(shared.cfg.max_deadline))
         .unwrap_or(shared.cfg.default_deadline);
 
+    // ---- Deadline spent waiting for a worker? ----------------------------
+    // Checked before the graph is generated or parsed, which can take
+    // longer than the deadline itself.
+    if Instant::now() >= accepted + deadline {
+        return timeout(shared, "deadline exhausted in queue", deadline);
+    }
+
     // ---- Resolve the graph ----------------------------------------------
-    let resolving = Instant::now();
     let resolved = match resolve_graph(shared, req) {
         Ok(g) => g,
         Err(msg) => {
@@ -1116,8 +1117,8 @@ fn handle_layout_inner(
                 );
             }
             layout_resolved(
-                shared, &g, stream, accepted, resolving, trace_id, p, deadline, subspace, seed,
-                no_cache, hold_ms,
+                shared, &g, stream, accepted, trace_id, p, deadline, subspace, seed, no_cache,
+                hold_ms,
             )
         }
         ResolvedGraph::Packed(g) => {
@@ -1135,8 +1136,8 @@ fn handle_layout_inner(
                 .gauge("parhde_graph_compression_ratio")
                 .set(g.compression_ratio());
             let resp = layout_resolved(
-                shared, &g, stream, accepted, resolving, trace_id, p, deadline, subspace, seed,
-                no_cache, hold_ms,
+                shared, &g, stream, accepted, trace_id, p, deadline, subspace, seed, no_cache,
+                hold_ms,
             );
             // Decode-buffer telemetry: how much varint decoding this
             // request's traversals and row scans actually did.
@@ -1150,15 +1151,14 @@ fn handle_layout_inner(
 
 /// The storage-generic tail of a layout request: config clamp, cache
 /// lookup, shared-budget admission, and the supervised run. The deadline
-/// runs from `accepted`; the worker began resolving the graph at
-/// `resolving`.
+/// runs from `accepted`, and had not run out when the worker began
+/// resolving the graph.
 #[allow(clippy::too_many_arguments)]
 fn layout_resolved<G: GraphStore>(
     shared: &Arc<Shared>,
     g: &G,
     stream: &TcpStream,
     accepted: Instant,
-    resolving: Instant,
     trace_id: &str,
     p: usize,
     deadline: Duration,
@@ -1199,18 +1199,10 @@ fn layout_resolved<G: GraphStore>(
         cfg.seed = seed;
     }
 
-    // ---- Deadline already spent before the run? --------------------------
-    // Name the step that spent it: the wait for a worker, or resolving the
-    // graph (generating or parsing it can outlast a short deadline).
+    // ---- Deadline spent resolving the graph? -----------------------------
     let hard_deadline = accepted + deadline;
     if Instant::now() >= hard_deadline {
-        shared.metrics.layout_timeout.inc();
-        let reason = if resolving >= hard_deadline {
-            "deadline exhausted in queue"
-        } else {
-            "deadline exhausted resolving the graph"
-        };
-        return Response::new(proto::TIMEOUT, reason).with("deadline-ms", deadline.as_millis());
+        return timeout(shared, "deadline exhausted resolving the graph", deadline);
     }
 
     // ---- Cache lookup ----------------------------------------------------
@@ -1441,6 +1433,13 @@ fn store_result(
             }
         }
     }
+}
+
+/// A 408 for a deadline spent before the run, naming the step that spent
+/// it.
+fn timeout(shared: &Shared, reason: &str, deadline: Duration) -> Response {
+    shared.metrics.layout_timeout.inc();
+    Response::new(proto::TIMEOUT, reason).with("deadline-ms", deadline.as_millis())
 }
 
 fn ok_response(

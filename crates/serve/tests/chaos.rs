@@ -389,9 +389,10 @@ fn draining_answers_queued_work_with_503_and_leaves_no_tmp() {
 fn concurrent_requests_share_the_memory_budget_and_release_it() {
     // A budget sized so concurrent biggish requests contend: some must be
     // downscaled or shed busy, and afterwards the pool must drain to zero.
-    let one = parhde::supervise::estimate_run_bytes(
-        90_000,
-        360_000,
+    // Priced on the graph the requests lay out: `gen:grid:300:300` is
+    // connected, so it is its own largest component.
+    let one = parhde::supervise::estimate_run_bytes_stored(
+        &parhde_graph::gen::grid2d(300, 300),
         10,
         2,
         parhde::config::BfsMode::Auto,

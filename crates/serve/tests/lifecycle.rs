@@ -205,6 +205,36 @@ fn a_deadline_spent_resolving_the_graph_is_not_blamed_on_the_queue() {
 }
 
 #[test]
+fn a_deadline_spent_in_the_queue_is_answered_before_the_graph_is_built() {
+    use parhde_graph::GraphStore;
+    // One worker, held by a small layout: the second request's deadline
+    // runs out while its connection waits for the worker, which must then
+    // answer it without generating its large graph, so the residency gauge
+    // still shows the first graph. Connections are accepted in connect
+    // order and served first come, first served.
+    let (server, addr) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut client = Client::connect(&addr).unwrap();
+    client.set_timeout(Duration::from_secs(60)).unwrap();
+    let first = std::thread::spawn(move || {
+        let req = layout_req("gen:grid:8:8").with("no-cache", 1).with("hold-ms", 1_500);
+        client.call(&req).expect("exchange")
+    });
+    let req = Request::new(Op::Layout)
+        .with("graph", "gen:grid:1000:1000")
+        .with("deadline-ms", 100);
+    let resp = parhde_serve::client::call_once(&addr, &req, Duration::from_secs(60))
+        .expect("exchange");
+    assert_eq!(resp.code, proto::TIMEOUT, "{} {}", resp.code, resp.reason);
+    assert_eq!(resp.reason, "deadline exhausted in queue");
+    let first = first.join().expect("first client");
+    assert!(first.is_ok(), "{} {}", first.code, first.reason);
+    let small = parhde_graph::prep::largest_component(&parhde_graph::gen::grid2d(8, 8)).graph;
+    let resident = stats_snapshot(&addr).gauge("parhde_graph_bytes_resident");
+    assert_eq!(resident, Some(small.resident_bytes() as f64));
+    server.drain();
+}
+
+#[test]
 fn garbage_after_a_valid_frame_closes_with_a_typed_400() {
     let (server, addr) = start(ServerConfig::default());
 

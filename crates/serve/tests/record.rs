@@ -41,7 +41,7 @@ fn a_degraded_reply_lists_each_abandoned_rung_once() {
         .map(|(_, v)| v.as_str())
         .collect();
     assert_eq!(resp.header("warnings"), Some(warnings.len().to_string().as_str()));
-    let abandoned: Vec<&str> = ["full", "halved_pivots", "batched_bfs", "phde"]
+    let abandoned: Vec<&str> = ["full", "halved_pivots", "random_pivots", "phde"]
         .into_iter()
         .filter(|rung| {
             let named = warnings.iter().filter(|w| w.contains(&format!("rung {rung} "))).count();

@@ -183,8 +183,8 @@ fn variants_match_their_golden_digests_and_phases() {
         push(name, layout_digest(&layout), &stats);
     }
 
-    // The prior-work baseline installs no backend of its own.
-    parhde_linalg::backend::install(LinalgBackend::Scalar).expect("scalar backend");
+    // The prior-work baseline installs its configuration's backend, as
+    // every pipeline does.
     let (layout, stats) = prior_hde(&grid, &scalar_cfg(1));
     push("grid/prior", layout_digest(&layout), &stats);
 

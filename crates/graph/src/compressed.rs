@@ -52,11 +52,12 @@
 
 use crate::csr::CsrGraph;
 use crate::io::GraphIoError;
-use crate::store::{GraphStore, NeighborScratch, StorageKind};
+use crate::store::{self, GraphStore, NeighborScratch, StorageKind};
 use parhde_util::durable::{self, fnv64, Reader};
 use parhde_util::par::prelude::*;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// The 8-byte `PHDEGRF` v1 snapshot magic. Callers sniff this on raw file
 /// bytes to route packed inputs before attempting any text decode.
@@ -335,6 +336,9 @@ pub struct CompressedCsr {
     blocks: Blocks,
     /// Decode telemetry.
     stats: DecodeStats,
+    /// [`GraphStore::digest`], computed on first use: the store never
+    /// changes, so one O(m) decode serves every later caller.
+    digest: OnceLock<u64>,
 }
 
 /// Decode telemetry, one shard per thread slot: every decode adds to its
@@ -363,11 +367,11 @@ impl DecodeStats {
         shard.arcs.fetch_add(arcs, Ordering::Relaxed);
     }
 
-    fn totals(&self) -> (u64, u64) {
-        let sum = |f: fn(&DecodeShard) -> &AtomicU64| {
-            self.0.iter().map(|s| f(s).load(Ordering::Relaxed)).sum()
+    fn take(&self) -> (u64, u64) {
+        let take = |f: fn(&DecodeShard) -> &AtomicU64| {
+            self.0.iter().map(|s| f(s).swap(0, Ordering::Relaxed)).sum()
         };
-        (sum(|s| &s.calls), sum(|s| &s.arcs))
+        (take(|s| &s.calls), take(|s| &s.arcs))
     }
 }
 
@@ -395,6 +399,7 @@ impl CompressedCsr {
             degrees,
             blocks: Blocks::Heap(blocks),
             stats: DecodeStats::default(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -467,9 +472,12 @@ impl CompressedCsr {
     }
 
     /// Decode telemetry: `(calls, arcs)` — how many neighbor-list decodes
-    /// have run and how many neighbor entries they produced.
-    pub fn decode_stats(&self) -> (u64, u64) {
-        self.stats.totals()
+    /// have run since the last take and how many neighbor entries they
+    /// produced. Taking swaps the counters to zero, so callers sharing one
+    /// store each take what was decoded since, and their takes sum to
+    /// every decode counted exactly once.
+    pub fn take_decode_stats(&self) -> (u64, u64) {
+        self.stats.take()
     }
 
     // -- Snapshot I/O -------------------------------------------------------
@@ -585,6 +593,7 @@ impl ParsedSnapshot {
             degrees: self.degrees,
             blocks,
             stats: DecodeStats::default(),
+            digest: OnceLock::new(),
         }
     }
 }
@@ -770,6 +779,10 @@ impl GraphStore for CompressedCsr {
         self.max_degree
     }
 
+    fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| store::stream_digest(self))
+    }
+
     fn resident_bytes(&self) -> usize {
         let idx = self.offsets.len() * 8 + self.degrees.len() * 4;
         match &self.blocks {
@@ -897,7 +910,7 @@ mod tests {
             seen.len() < 5
         });
         assert_eq!(&seen[..], &g.neighbors(20)[..5]);
-        let (calls, arcs) = c.decode_stats();
+        let (calls, arcs) = c.take_decode_stats();
         assert_eq!(calls, 1);
         assert_eq!(arcs, 5); // early exit decoded only what it consumed
 
@@ -908,6 +921,18 @@ mod tests {
             true
         });
         assert_eq!(&seen[..], g.neighbors(7));
+    }
+
+    #[test]
+    fn digest_matches_plain_and_is_decoded_once() {
+        for g in [grid2d(7, 9), kron(8, 6, 2), CsrGraph::new(vec![0], vec![])] {
+            let c = CompressedCsr::from_csr(&g);
+            let one_pass = (g.num_vertices() as u64, g.num_arcs() as u64);
+            assert_eq!(c.digest(), g.digest());
+            assert_eq!(c.take_decode_stats(), one_pass);
+            assert_eq!(c.digest(), g.digest());
+            assert_eq!(c.take_decode_stats(), (0, 0));
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! never shared — the trait requires `Sync` on the graph, not on scratches.
 
 use crate::csr::CsrGraph;
+use parhde_util::durable::Fnv64;
 
 /// A reusable per-worker decode buffer for [`GraphStore::neighbors_in`].
 ///
@@ -189,6 +190,42 @@ pub trait GraphStore: Sync {
     fn as_csr(&self) -> Option<&CsrGraph> {
         None
     }
+
+    /// Digest of the graph's exact structure: FNV-1a over `n`, `m`, the
+    /// offset array and the adjacency array. Two graphs collide only if
+    /// they are structurally identical (up to hash collision); relabeling
+    /// vertices changes the digest, which is intentional — checkpointed
+    /// distance rows are indexed by vertex id.
+    ///
+    /// Offsets are recomputed cumulatively from degrees and the adjacency
+    /// is streamed through a decode scratch, so plain and compressed
+    /// storage of one graph hash the same byte stream to the same value:
+    /// they share cache entries and checkpoints. O(m) per call on plain
+    /// CSR; [`crate::CompressedCsr`] computes it once and memoizes it.
+    fn digest(&self) -> u64 {
+        stream_digest(self)
+    }
+}
+
+/// The byte stream behind [`GraphStore::digest`].
+pub(crate) fn stream_digest<G: GraphStore + ?Sized>(g: &G) -> u64 {
+    let n = g.num_vertices();
+    let mut h = Fnv64::new();
+    h.update(&(n as u64).to_le_bytes());
+    h.update(&(g.num_edges() as u64).to_le_bytes());
+    let mut off = 0u64;
+    h.update(&off.to_le_bytes());
+    for v in 0..n as u32 {
+        off += g.degree(v) as u64;
+        h.update(&off.to_le_bytes());
+    }
+    let mut scratch = NeighborScratch::new();
+    for v in 0..n as u32 {
+        for &u in g.neighbors_in(v, &mut scratch) {
+            h.update(&u.to_le_bytes());
+        }
+    }
+    h.finish()
 }
 
 impl GraphStore for CsrGraph {

@@ -131,8 +131,8 @@ fn arbitrary_graphs_decode_exactly() {
     }
 }
 
-/// The decode counters advance monotonically with every scan: after `k`
-/// full passes, exactly `k·n` calls and `k·2m` arcs.
+/// The decode counters advance with every scan: after `k` full passes a
+/// take reads exactly `k·n` calls and `k·2m` arcs, and the next reads none.
 #[test]
 fn decode_stats_count_scans() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x09a7_de11);
@@ -146,8 +146,9 @@ fn decode_stats_count_scans() {
                 let _ = c.neighbors_in(v, &mut scratch);
             }
         }
-        let (calls, arcs) = c.decode_stats();
+        let (calls, arcs) = c.take_decode_stats();
         assert_eq!(calls, (passes * g.num_vertices()) as u64, "case {case}: calls");
         assert_eq!(arcs, (passes * g.num_arcs()) as u64, "case {case}: arcs");
+        assert_eq!(c.take_decode_stats(), (0, 0), "case {case}: taken twice");
     }
 }

@@ -34,7 +34,7 @@
 
 use crate::config::{BfsMode, OrthoMethod, ParHdeConfig, PivotStrategy};
 use crate::error::HdeError;
-use parhde_graph::store::{GraphStore, NeighborScratch};
+use parhde_graph::store::GraphStore;
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_util::durable::{self, Fnv64, Reader};
 use std::path::{Path, PathBuf};
@@ -68,8 +68,8 @@ impl CheckpointSpec {
 /// A parsed checkpoint: the post-BFS state of one pipeline attempt.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
-    /// [`graph_digest`] of the graph the BFS phase actually traversed
-    /// (after any largest-component extraction).
+    /// [`GraphStore::digest`] of the graph the BFS phase actually
+    /// traversed (after any largest-component extraction).
     pub graph_digest: u64,
     /// Seed of the pipeline attempt (differs from `cfg.seed` on re-pivot
     /// retries).
@@ -82,36 +82,6 @@ pub struct Checkpoint {
     pub sources: Vec<u32>,
     /// The `n×s` distance matrix `B`.
     pub b: ColMajorMatrix,
-}
-
-/// Digest of a graph's exact structure: `n`, `m`, the offset array and the
-/// adjacency array. Two graphs collide only if they are structurally
-/// identical (up to hash collision); vertex relabeling changes the digest,
-/// which is intentional — `B`'s rows are indexed by vertex id.
-///
-/// Generic over [`GraphStore`]: offsets are recomputed cumulatively from
-/// degrees and adjacency streamed through a decode scratch, producing the
-/// **same byte stream** (hence the same digest) for plain and compressed
-/// storage of the same graph — a checkpoint written against one storage
-/// resumes against the other.
-pub fn graph_digest<G: GraphStore>(g: &G) -> u64 {
-    let n = g.num_vertices();
-    let mut h = Fnv64::new();
-    h.update(&(n as u64).to_le_bytes());
-    h.update(&(g.num_edges() as u64).to_le_bytes());
-    let mut off = 0u64;
-    h.update(&off.to_le_bytes());
-    for v in 0..n as u32 {
-        off += g.degree(v) as u64;
-        h.update(&off.to_le_bytes());
-    }
-    let mut scratch = NeighborScratch::new();
-    for v in 0..n as u32 {
-        for &u in g.neighbors_in(v, &mut scratch) {
-            h.update(&u.to_le_bytes());
-        }
-    }
-    h.finish()
 }
 
 /// Digest of every configuration field that influences the layout: the
@@ -214,7 +184,7 @@ fn serialize<G: GraphStore>(
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // reserved flags
-    out.extend_from_slice(&graph_digest(g).to_le_bytes());
+    out.extend_from_slice(&g.digest().to_le_bytes());
     out.extend_from_slice(&seed.to_le_bytes());
     out.extend_from_slice(&(p as u32).to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // reserved
@@ -325,7 +295,7 @@ impl Checkpoint {
                 self.embed_dim
             )));
         }
-        let digest = graph_digest(g);
+        let digest = g.digest();
         if self.graph_digest != digest {
             return Err(HdeError::CheckpointMismatch(format!(
                 "graph digest {digest:#018x} does not match recorded \
@@ -382,7 +352,7 @@ mod tests {
         let (g, cfg, sources, b) = sample();
         let bytes = serialize(&g, &cfg, 2, 42, &sources, b.data());
         let ck = Checkpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(ck.graph_digest, graph_digest(&g));
+        assert_eq!(ck.graph_digest, g.digest());
         assert_eq!(ck.seed, 42);
         assert_eq!(ck.embed_dim, 2);
         assert_eq!(ck.config_fingerprint, config_fingerprint(&cfg));
@@ -498,10 +468,16 @@ mod tests {
     fn digest_identical_across_storages() {
         // The digest must not depend on how the adjacency is stored: a
         // checkpoint written against plain CSR resumes against the
-        // compressed (or mmap-backed) store of the same graph.
+        // compressed (or mmap-backed) store of the same graph, and back.
         for g in [grid2d(7, 9), parhde_graph::gen::kron(8, 6, 2)] {
             let c = parhde_graph::CompressedCsr::from_csr(&g);
-            assert_eq!(graph_digest(&g), graph_digest(&c));
+            let cfg = ParHdeConfig::with_subspace(2);
+            let b = vec![0.5; 2 * g.num_vertices()];
+            let plain = Checkpoint::from_bytes(&serialize(&g, &cfg, 2, 7, &[0, 1], &b)).unwrap();
+            plain.validate_for(&c, &cfg, 2).unwrap();
+            let packed = Checkpoint::from_bytes(&serialize(&c, &cfg, 2, 7, &[0, 1], &b)).unwrap();
+            assert_eq!(packed, plain);
+            packed.validate_for(&g, &cfg, 2).unwrap();
         }
     }
 
@@ -509,7 +485,7 @@ mod tests {
     fn digests_are_sensitive_to_structure() {
         let a = grid2d(6, 6);
         let b = grid2d(6, 7);
-        assert_ne!(graph_digest(&a), graph_digest(&b));
+        assert_ne!(a.digest(), b.digest());
         let base = ParHdeConfig::default();
         let fp = config_fingerprint(&base);
         for variant in [

@@ -6,10 +6,11 @@
 //! a crash, a concurrent writer, or an operator's stray `dd` may have
 //! mangled, so "garbage in → typed error out" is a load-bearing contract.
 
-use parhde::checkpoint::{graph_digest, write_post_bfs, MAGIC};
+use parhde::checkpoint::{write_post_bfs, MAGIC};
 use parhde::config::ParHdeConfig;
 use parhde::{Checkpoint, CheckpointSpec, HdeError};
 use parhde_graph::gen::grid2d;
+use parhde_graph::GraphStore;
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_util::durable::Fnv64;
 use std::path::PathBuf;
@@ -36,7 +37,7 @@ fn valid_bytes(tag: &str) -> Vec<u8> {
     let _ = std::fs::remove_dir_all(&dir);
     // Sanity: the untampered bytes parse and carry the expected digest.
     let ck = Checkpoint::from_bytes(&bytes).unwrap();
-    assert_eq!(ck.graph_digest, graph_digest(&g));
+    assert_eq!(ck.graph_digest, g.digest());
     bytes
 }
 

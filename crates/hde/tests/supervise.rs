@@ -337,6 +337,29 @@ fn cancel_mid_run_leaves_no_partial_checkpoint_files() {
 }
 
 #[test]
+fn a_trip_at_any_check_ends_in_a_typed_error_or_a_layout() {
+    // Every cooperative check of a small run, in turn, trips the budget —
+    // including the first column of DOrtho, where the kernel stops before
+    // it has kept any column.
+    let g = gen::grid2d(8, 8);
+    let cfg = ParHdeConfig::with_subspace(6);
+    let full = RunBudget::unbounded();
+    let installed = supervisor::install(&full);
+    try_par_hde_nd(&g, &cfg, 2).expect("uncancelled run");
+    drop(installed);
+    for trip_at in 1..=full.checks() {
+        let budget = RunBudget::unbounded();
+        budget.cancel_after_checks(trip_at);
+        let installed = supervisor::install(&budget);
+        let outcome = try_par_hde_nd(&g, &cfg, 2);
+        drop(installed);
+        if let Err(e) = outcome {
+            assert!(matches!(e, HdeError::Cancelled { .. }), "trip_at {trip_at}: {e:?}");
+        }
+    }
+}
+
+#[test]
 fn deadline_error_carries_the_tripped_phase() {
     let g = gen::grid2d(40, 40);
     let cfg = ParHdeConfig::default();

@@ -12,7 +12,11 @@
 //!
 //! `--graph-dir DIR` serves packed `.phdegrf` snapshots (from parhde-pack)
 //! via the request header `graph: packed:<name>`; the snapshot is opened
-//! mmap-backed, so served graphs may exceed RAM.
+//! mmap-backed, so served graphs may exceed RAM. Each snapshot is
+//! validated and digested once and reused while its file keeps its
+//! identity; republish by renaming a new file over it, and the next
+//! request that names it opens the new one. An open snapshot's resident
+//! index counts against `--mem-budget-mb` until it is closed.
 //!
 //! Prints `listening on <addr>` once the socket is bound (tests and
 //! supervisors wait for that line). Emits one NDJSON event per answered

@@ -12,6 +12,9 @@
 //! * **does not fit now** — it would fit an idle server, but concurrent
 //!   reservations hold too much → 429 with a retry-after hint derived
 //!   from an EWMA of recent service times.
+//!
+//! Bytes that outlive one request — the resident index of a packed
+//! snapshot the daemon keeps open — sit on the same pool as a [`Hold`].
 
 use parhde::config::ParHdeConfig;
 use parhde::supervise::estimate_run_bytes_stored;
@@ -38,22 +41,28 @@ pub enum AdmitError {
     },
 }
 
+/// Bytes taken from the budget; dropping the hold releases them.
+pub struct Hold {
+    budget: Arc<SharedSoftBudget>,
+    /// The bytes held.
+    pub bytes: u64,
+}
+
+impl Drop for Hold {
+    fn drop(&mut self) {
+        self.budget.release(self.bytes);
+    }
+}
+
 /// A successful admission: the subspace that fits and the bytes reserved
 /// for it. Dropping the reservation releases the bytes.
 pub struct Reservation {
-    budget: Arc<SharedSoftBudget>,
-    /// Reserved bytes.
-    pub bytes: u64,
+    /// The reserved bytes.
+    pub hold: Hold,
     /// The admitted subspace dimension (≤ requested).
     pub subspace: usize,
     /// Whether the requested subspace had to shrink to fit.
     pub downscaled: bool,
-}
-
-impl Drop for Reservation {
-    fn drop(&mut self) {
-        self.budget.release(self.bytes);
-    }
 }
 
 /// The process-wide soft budget concurrent requests draw from.
@@ -107,6 +116,14 @@ impl SharedSoftBudget {
         self.reserved.fetch_sub(bytes, Ordering::AcqRel);
     }
 
+    /// Holds `bytes` that are already resident, whether or not they fit:
+    /// requests see that much less free until the hold drops, and a hold
+    /// past the total leaves nothing free.
+    pub fn hold(self: &Arc<Self>, bytes: u64) -> Hold {
+        self.reserved.fetch_add(bytes, Ordering::AcqRel);
+        Hold { budget: Arc::clone(self), bytes }
+    }
+
     /// Admits one layout request on `g` against the budget: walks the
     /// subspace down by halving (never below `max(p, 2)`) until the
     /// working set [`estimate_run_bytes_stored`] prices fits the currently
@@ -115,6 +132,11 @@ impl SharedSoftBudget {
     /// smaller) resident footprint, not the plain-CSR bytes it never
     /// allocates, so more such requests run concurrently under the same
     /// pool.
+    ///
+    /// `held` is the part of that price already on the budget under a
+    /// [`Hold`] (an open snapshot's resident bytes, shared by every
+    /// request on it); the request reserves the rest. Whether it can ever
+    /// fit is still judged on the whole price.
     ///
     /// # Errors
     /// [`AdmitError::NeverFits`] when the minimum subspace exceeds the
@@ -125,6 +147,7 @@ impl SharedSoftBudget {
         g: &G,
         cfg: &ParHdeConfig,
         p: usize,
+        held: u64,
     ) -> Result<Reservation, AdmitError> {
         let estimate = |s| estimate_run_bytes_stored(g, s, p, cfg.bfs_mode, cfg.linalg_mode);
         let floor = p.max(2);
@@ -143,10 +166,10 @@ impl SharedSoftBudget {
         let mut s = requested;
         loop {
             let bytes = estimate(s);
-            if bytes <= self.total && self.try_reserve(bytes) {
+            let own = bytes.saturating_sub(held);
+            if bytes <= self.total && self.try_reserve(own) {
                 return Ok(Reservation {
-                    budget: Arc::clone(self),
-                    bytes,
+                    hold: Hold { budget: Arc::clone(self), bytes: own },
                     subspace: s,
                     downscaled: s != requested,
                 });
@@ -236,8 +259,8 @@ mod tests {
     #[test]
     fn reservations_release_on_drop() {
         let b = SharedSoftBudget::new(1 << 30);
-        let r = b.admit_stored(&grid2d(100, 100), &cfg(16), 2).unwrap();
-        assert!(b.reserved() == r.bytes && r.bytes > 0);
+        let r = b.admit_stored(&grid2d(100, 100), &cfg(16), 2, 0).unwrap();
+        assert!(b.reserved() == r.hold.bytes && r.hold.bytes > 0);
         assert!(!r.downscaled);
         drop(r);
         assert_eq!(b.reserved(), 0);
@@ -246,7 +269,7 @@ mod tests {
     #[test]
     fn impossible_requests_are_never_fits() {
         let b = SharedSoftBudget::new(1024);
-        match b.admit_stored(&grid2d(100, 100), &cfg(16), 2) {
+        match b.admit_stored(&grid2d(100, 100), &cfg(16), 2, 0) {
             Err(AdmitError::NeverFits { min_bytes, total }) => {
                 assert!(min_bytes > total);
             }
@@ -261,10 +284,10 @@ mod tests {
         let one_full = estimate_run_bytes_stored(&g, 32, 2, cfg(32).bfs_mode, cfg(32).linalg_mode);
         // Room for one full run and change, but not two.
         let b = SharedSoftBudget::new(one_full + one_full / 4);
-        let first = b.admit_stored(&g, &cfg(32), 2).unwrap();
+        let first = b.admit_stored(&g, &cfg(32), 2, 0).unwrap();
         assert!(!first.downscaled);
         // The second fits only by shrinking.
-        let second = b.admit_stored(&g, &cfg(32), 2);
+        let second = b.admit_stored(&g, &cfg(32), 2, 0);
         match &second {
             Ok(r) => assert!(r.downscaled && r.subspace < 32),
             Err(AdmitError::Busy { .. }) => {}
@@ -274,7 +297,30 @@ mod tests {
         drop(first);
         assert_eq!(b.reserved(), 0);
         // With the pool free again, the same request is admitted in full.
-        assert!(!b.admit_stored(&g, &cfg(32), 2).unwrap().downscaled);
+        assert!(!b.admit_stored(&g, &cfg(32), 2, 0).unwrap().downscaled);
+    }
+
+    #[test]
+    fn held_bytes_are_reserved_once() {
+        let g = grid2d(100, 100);
+        let (mode, linalg) = (cfg(16).bfs_mode, cfg(16).linalg_mode);
+        let whole = estimate_run_bytes_stored(&g, 16, 2, mode, linalg);
+        let b = SharedSoftBudget::new(1 << 30);
+        let held = b.hold(g.resident_bytes() as u64);
+        let r = b.admit_stored(&g, &cfg(16), 2, held.bytes).unwrap();
+        assert_eq!(r.hold.bytes, whole - held.bytes);
+        assert_eq!(b.reserved(), whole);
+        drop((r, held));
+        assert_eq!(b.reserved(), 0);
+
+        // A hold past the total leaves nothing free: a request that fits
+        // the total waits (busy) rather than never fitting.
+        let b = SharedSoftBudget::new(whole);
+        let over = b.hold(2 * whole);
+        assert_eq!(b.free(), 0);
+        assert!(matches!(b.admit_stored(&g, &cfg(16), 2, 0), Err(AdmitError::Busy { .. })));
+        drop(over);
+        assert_eq!(b.reserved(), 0);
     }
 
     #[test]

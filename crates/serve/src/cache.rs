@@ -1,9 +1,9 @@
 //! The crash-safe, digest-keyed layout cache (DESIGN.md §13.4).
 //!
 //! Results are keyed by the FNV-1a digests the checkpoint layer already
-//! computes — [`parhde::checkpoint::graph_digest`] of the preprocessed
-//! graph combined with [`parhde::checkpoint::config_fingerprint`] and the
-//! embedding dimension — so a cache hit is *definitionally* the layout an
+//! computes — [`GraphStore::digest`] of the preprocessed graph combined
+//! with [`parhde::checkpoint::config_fingerprint`] and the embedding
+//! dimension — so a cache hit is *definitionally* the layout an
 //! uninterrupted run of that request would produce (the pipeline is
 //! deterministic given graph + config + seed).
 //!
@@ -25,7 +25,7 @@
 //!   the total fits — the daemon's disk footprint stays observable and
 //!   capped instead of growing with every distinct request ever served.
 
-use parhde::checkpoint::{config_fingerprint, graph_digest};
+use parhde::checkpoint::config_fingerprint;
 use parhde::config::ParHdeConfig;
 use parhde::CheckpointSpec;
 use parhde_graph::GraphStore;
@@ -111,7 +111,7 @@ pub struct CacheUsage {
 /// representations of the same graph share cache entries and warm starts.
 pub fn cache_key<G: GraphStore>(g: &G, cfg: &ParHdeConfig, p: usize) -> u64 {
     let mut h = Fnv64::new();
-    h.update(&graph_digest(g).to_le_bytes());
+    h.update(&g.digest().to_le_bytes());
     h.update(&config_fingerprint(cfg).to_le_bytes());
     h.update(&(p as u64).to_le_bytes());
     h.finish()

@@ -8,6 +8,7 @@
 //!    │
 //!    ▼ queued (deadline clock already running)
 //! worker: parse ─► 400 | resolve graph ─► 400 | deadline gone ─► 408
+//!    │      (a packed snapshot already open and unchanged is reused)
 //!    │
 //!    ▼ cache lookup ──► 200 cache:hit                  (no budget needed)
 //!    │
@@ -28,7 +29,7 @@
 //! interrupted work resumable by the next daemon. A second signal
 //! force-exits 130 (see [`parhde_util::supervisor::install_two_stage_handlers`]).
 
-use crate::budget::{AdmitError, ServiceClock, SharedSoftBudget};
+use crate::budget::{AdmitError, Hold, ServiceClock, SharedSoftBudget};
 use crate::cache::{cache_key, LayoutCache};
 use crate::proto::{self, Op, Request, Response};
 use parhde::config::ParHdeConfig;
@@ -47,13 +48,13 @@ use parhde_trace::{Record, RunReport, Totals};
 use parhde_util::supervisor::{self, cancel_flag, CancelFlag};
 use parhde_util::threads::run_with_threads;
 use parhde_util::RunBudget;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Knobs of one daemon instance.
 #[derive(Clone, Debug)]
@@ -179,6 +180,8 @@ struct Metrics {
     budget_total_bytes: Arc<Gauge>,
     cache_entries: Arc<Gauge>,
     cache_bytes: Arc<Gauge>,
+    snapshots_open: Arc<Gauge>,
+    snapshots_bytes_resident: Arc<Gauge>,
     uptime_seconds: Arc<Gauge>,
     /// 1 when the active linalg backend is the SIMD one, 0 for scalar.
     backend_simd_active: Arc<Gauge>,
@@ -228,6 +231,8 @@ impl Metrics {
             budget_total_bytes: g("parhde_budget_total_bytes"),
             cache_entries: g("parhde_cache_entries"),
             cache_bytes: g("parhde_cache_bytes"),
+            snapshots_open: g("parhde_snapshots_open"),
+            snapshots_bytes_resident: g("parhde_snapshots_bytes_resident"),
             uptime_seconds: g("parhde_uptime_seconds"),
             backend_simd_active: g("parhde_backend_simd_active"),
             cpu_simd_supported: g("parhde_cpu_simd_supported"),
@@ -266,6 +271,7 @@ struct Shared {
     cfg: ServerConfig,
     budget: Arc<SharedSoftBudget>,
     cache: Option<LayoutCache>,
+    snapshots: Snapshots,
     clock: ServiceClock,
     queue: Mutex<VecDeque<Pending>>,
     queue_cv: Condvar,
@@ -352,6 +358,7 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<Server> {
         cfg,
         budget,
         cache,
+        snapshots: Snapshots::default(),
         clock: ServiceClock::new(),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
@@ -874,8 +881,10 @@ fn ping_response(shared: &Arc<Shared>) -> Response {
 
 /// Answers a `STATS` scrape: refresh the point-in-time gauges, snapshot
 /// this server's registry, fold in the process-global registry (the
-/// supervisor's install and trip counters), and encode. Never waits for a
-/// layout, so a scrape costs microseconds even while layouts are running.
+/// supervisor's install and trip counters), and encode. Takes no lock a
+/// layout holds, so a scrape costs microseconds once a worker reads it;
+/// on a new connection it still waits in the connection queue for a free
+/// worker (DESIGN.md §14.2).
 fn stats_response(shared: &Arc<Shared>, req: &Request) -> Response {
     let m = &shared.metrics;
     m.queue_depth
@@ -894,6 +903,9 @@ fn stats_response(shared: &Arc<Shared>, req: &Request) -> Response {
         m.cache_entries.set(usage.entries as f64);
         m.cache_bytes.set(usage.bytes as f64);
     }
+    let (open, resident) = shared.snapshots.usage();
+    m.snapshots_open.set(open as f64);
+    m.snapshots_bytes_resident.set(resident as f64);
     let mut snap = m.registry.snapshot();
     snap.merge_from(&registry::global().snapshot());
     let (format, body) = match req.header("format") {
@@ -939,10 +951,111 @@ const MAX_GEN_GRID_SIDE: usize = 4096;
 const MAX_GEN_PREF_N: usize = 2_000_000;
 
 /// A resolved request graph: parsed/generated plain CSR, or a packed
-/// snapshot opened mmap-backed from the server's `graph_dir`.
+/// snapshot from the server's `graph_dir`, mmap-backed and shared through
+/// the daemon's [`Snapshots`] table.
 enum ResolvedGraph {
     Plain(CsrGraph),
-    Packed(CompressedCsr),
+    Packed(Arc<OpenSnapshot>),
+}
+
+/// The packed snapshots this daemon has opened, by file name. An entry is
+/// reused while its file keeps the identity it had when it was opened, so
+/// every request reads bytes [`CompressedCsr::open_mmap`] validated and
+/// shares the snapshot's memoized digest; a republish by rename gives the
+/// file a new identity and the next request opens it afresh (DESIGN.md
+/// §17.3).
+#[derive(Default)]
+struct Snapshots(Mutex<HashMap<String, Arc<OpenSnapshot>>>);
+
+/// A validated snapshot, the identity its file had when it was stat'ed
+/// (`None` if it could not be, and then never reused), and its hold on
+/// the shared budget: the resident bytes stay reserved while the table
+/// or a request still uses the snapshot, counted once however many
+/// requests share it (DESIGN.md §17.4).
+struct OpenSnapshot {
+    graph: CompressedCsr,
+    identity: Option<FileIdentity>,
+    hold: Hold,
+}
+
+/// What tells one published file from its replacement: a rename brings a
+/// new inode, a rewrite a new length or modification time.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct FileIdentity {
+    dev: u64,
+    ino: u64,
+    len: u64,
+    mtime: Option<SystemTime>,
+}
+
+impl FileIdentity {
+    fn of(meta: &std::fs::Metadata) -> FileIdentity {
+        #[cfg(unix)]
+        let (dev, ino) = {
+            use std::os::unix::fs::MetadataExt;
+            (meta.dev(), meta.ino())
+        };
+        #[cfg(not(unix))]
+        let (dev, ino) = (0, 0);
+        FileIdentity {
+            dev,
+            ino,
+            len: meta.len(),
+            mtime: meta.modified().ok(),
+        }
+    }
+}
+
+impl Snapshots {
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<OpenSnapshot>>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The validated snapshot behind `path`, opened once per file identity
+    /// and held on `budget`. A file that cannot be stat'ed loses its entry
+    /// and fails to open with `open_mmap`'s own error. The file is stat'ed
+    /// before it is opened, so a recorded identity is never newer than the
+    /// bytes mapped under it: a file replaced in between costs the next
+    /// request a reopen, never a stale reply.
+    fn open(
+        &self,
+        name: &str,
+        path: &Path,
+        budget: &Arc<SharedSoftBudget>,
+    ) -> Result<Arc<OpenSnapshot>, String> {
+        let identity = std::fs::metadata(path).ok().map(|m| FileIdentity::of(&m));
+        {
+            let mut table = self.lock();
+            match table.get(name) {
+                Some(e) if identity.is_some() && e.identity == identity => {
+                    return Ok(Arc::clone(e))
+                }
+                _ => table.remove(name),
+            };
+        }
+        // Validation runs outside the lock: hits on other snapshots do not
+        // wait for it.
+        let graph = CompressedCsr::open_mmap(path).map_err(|e| e.to_string())?;
+        let hold = budget.hold(graph.resident_bytes() as u64);
+        let snapshot = Arc::new(OpenSnapshot { graph, identity, hold });
+        self.lock().insert(name.to_string(), Arc::clone(&snapshot));
+        Ok(snapshot)
+    }
+
+    /// Drops the entries no request is using, which releases their holds;
+    /// whether any went.
+    fn evict_idle(&self) -> bool {
+        let mut table = self.lock();
+        let before = table.len();
+        table.retain(|_, e| Arc::strong_count(e) > 1);
+        table.len() < before
+    }
+
+    /// `(entries, held bytes)` of the open snapshots.
+    fn usage(&self) -> (usize, u64) {
+        let table = self.lock();
+        (table.len(), table.values().map(|e| e.hold.bytes).sum())
+    }
 }
 
 /// Resolves the request's graph: `gen:` specs, `packed:<name>` snapshots
@@ -970,7 +1083,7 @@ fn resolve_graph(shared: &Arc<Shared>, req: &Request) -> Result<ResolvedGraph, S
         } else {
             format!("{name}.phdegrf")
         };
-        let g = CompressedCsr::open_mmap(&dir.join(file)).map_err(|e| e.to_string())?;
+        let g = shared.snapshots.open(&file, &dir.join(&file), &shared.budget)?;
         return Ok(ResolvedGraph::Packed(g));
     }
     let parsed = match parts.as_slice() {
@@ -1117,11 +1230,12 @@ fn handle_layout_inner(
                 );
             }
             layout_resolved(
-                shared, &g, stream, accepted, trace_id, p, deadline, subspace, seed, no_cache,
+                shared, &g, 0, stream, accepted, trace_id, p, deadline, subspace, seed, no_cache,
                 hold_ms,
             )
         }
-        ResolvedGraph::Packed(g) => {
+        ResolvedGraph::Packed(snapshot) => {
+            let g = &snapshot.graph;
             // parhde-pack already extracted the largest component (the
             // compressed pipeline cannot re-extract one); a disconnected
             // snapshot surfaces as a typed Disconnected error from the run.
@@ -1136,12 +1250,24 @@ fn handle_layout_inner(
                 .gauge("parhde_graph_compression_ratio")
                 .set(g.compression_ratio());
             let resp = layout_resolved(
-                shared, &g, stream, accepted, trace_id, p, deadline, subspace, seed, no_cache,
+                shared,
+                g,
+                snapshot.hold.bytes,
+                stream,
+                accepted,
+                trace_id,
+                p,
+                deadline,
+                subspace,
+                seed,
+                no_cache,
                 hold_ms,
             );
-            // Decode-buffer telemetry: how much varint decoding this
-            // request's traversals and row scans actually did.
-            let (calls, arcs) = g.decode_stats();
+            // Decode-buffer telemetry: how much varint decoding was done on
+            // this snapshot since the last request on it took the counts.
+            // Taking them counts every decode once, whichever request of
+            // several sharing the store did it.
+            let (calls, arcs) = g.take_decode_stats();
             shared.metrics.registry.counter("parhde_graph_decode_calls_total").add(calls);
             shared.metrics.registry.counter("parhde_graph_decoded_arcs_total").add(arcs);
             resp
@@ -1150,13 +1276,15 @@ fn handle_layout_inner(
 }
 
 /// The storage-generic tail of a layout request: config clamp, cache
-/// lookup, shared-budget admission, and the supervised run. The deadline
-/// runs from `accepted`, and had not run out when the worker began
-/// resolving the graph.
+/// lookup, shared-budget admission, and the supervised run. `held` is what
+/// of `g`'s resident bytes the budget already holds for an open snapshot.
+/// The deadline runs from `accepted`, and had not run out when the worker
+/// began resolving the graph.
 #[allow(clippy::too_many_arguments)]
 fn layout_resolved<G: GraphStore>(
     shared: &Arc<Shared>,
     g: &G,
+    held: u64,
     stream: &TcpStream,
     accepted: Instant,
     trace_id: &str,
@@ -1219,7 +1347,13 @@ fn layout_resolved<G: GraphStore>(
     }
 
     // ---- Shared-budget admission ----------------------------------------
-    let reservation = match shared.budget.admit_stored(g, &cfg, p) {
+    // Snapshots no request is using give their held bytes back when a
+    // request does not fit beside them.
+    let mut admitted = shared.budget.admit_stored(g, &cfg, p, held);
+    if matches!(admitted, Err(AdmitError::Busy { .. })) && shared.snapshots.evict_idle() {
+        admitted = shared.budget.admit_stored(g, &cfg, p, held);
+    }
+    let reservation = match admitted {
         Ok(r) => r,
         Err(AdmitError::NeverFits { min_bytes, total }) => {
             shared.metrics.layout_too_large.inc();
@@ -1472,6 +1606,7 @@ fn ok_response(
 /// formatting — bit-identical coordinates produce byte-identical bodies,
 /// which the cache-consistency tests rely on.
 fn coords_csv(coords: &ColMajorMatrix) -> String {
+    use std::fmt::Write;
     let (n, p) = (coords.rows(), coords.cols());
     let mut out = String::with_capacity(n * p * 20);
     for r in 0..n {
@@ -1479,7 +1614,7 @@ fn coords_csv(coords: &ColMajorMatrix) -> String {
             if c > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}", coords.col(c)[r]));
+            write!(out, "{}", coords.col(c)[r]).expect("writing to a String cannot fail");
         }
         out.push('\n');
     }
@@ -1609,5 +1744,45 @@ fn write_report<G: GraphStore>(
     let path = dir.join(format!("req-{trace_id}.json"));
     if let Err(e) = std::fs::write(&path, render_report(head, totals).to_json()) {
         log_warn_event("report-write-failed", trace_id, &e.to_string());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parhde_util::Xoshiro256StarStar;
+
+    #[test]
+    fn coords_csv_matches_per_value_format() {
+        // DESIGN.md §13.4: bit-identical coordinates give byte-identical
+        // bodies, so the encoder must print every value exactly as `{}`.
+        let mut values = vec![
+            -0.0,
+            0.0,
+            1.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1e-7,
+            0.1 + 0.2,
+            1e21,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let mut rng = Xoshiro256StarStar::seed_from_u64(23);
+        values.extend((0..1000).map(|i| match i % 2 {
+            0 => f64::from_bits(rng.next_u64()),
+            _ => (rng.next_f64() - 0.5) * 1e3,
+        }));
+        let (rows, cols) = (202, 5);
+        let coords = ColMajorMatrix::from_data(rows, cols, values.clone());
+        let expected: String = (0..rows)
+            .map(|r| {
+                let row: Vec<String> = (0..cols)
+                    .map(|c| format!("{}", values[c * rows + r]))
+                    .collect();
+                row.join(",") + "\n"
+            })
+            .collect();
+        assert_eq!(coords_csv(&coords), expected);
     }
 }

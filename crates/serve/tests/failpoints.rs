@@ -3,7 +3,9 @@
 //! because failpoints are process-global — arming one would perturb any
 //! test running concurrently in the same process. Every test serializes
 //! on one mutex and disarms via an RAII guard so a panicking test cannot
-//! leak its schedule into the next.
+//! leak its schedule into the next. A test that disarms midway keeps the
+//! guard until its last request: traffic sent after releasing it would
+//! pass the sites of the next test's schedule and shift its counts.
 
 use parhde_serve::client::{call_once, Client, RetryPolicy, RetryingClient};
 use parhde_serve::proto::{self, Op, Request};
@@ -127,8 +129,11 @@ fn same_seed_means_same_fire_schedule_and_zero_lost_requests() {
         ..Default::default()
     });
     fixed_traffic(&addr_a);
-    let counts_a = failpoint::site_counts();
+    // Counts are read after the drain: after the last reply the worker
+    // evaluates `serve.read_frame` once more for the next frame, which a
+    // read taken as soon as the reply is in may or may not include.
     server_a.drain();
+    let counts_a = failpoint::site_counts();
     drop(armed);
 
     let fired_a: u64 = counts_a.iter().map(|(_, _, f)| f).sum();
@@ -143,8 +148,8 @@ fn same_seed_means_same_fire_schedule_and_zero_lost_requests() {
         ..Default::default()
     });
     fixed_traffic(&addr_b);
-    let counts_b = failpoint::site_counts();
     server_b.drain();
+    let counts_b = failpoint::site_counts();
     drop(armed);
 
     assert_eq!(counts_a, counts_b, "same seed produced a different schedule");
@@ -170,7 +175,7 @@ fn write_fault_cancels_buffered_pipeline_successors() {
         panic!("got a response through a dead write path: {payload:?}");
     }
     drop(stream);
-    drop(armed); // disarm so the scrape below can be answered
+    failpoint::disarm(); // so the scrape below can be answered
 
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -186,6 +191,7 @@ fn write_fault_cancels_buffered_pipeline_successors() {
         std::thread::sleep(Duration::from_millis(50));
     }
     server.drain();
+    drop(armed);
 }
 
 #[test]
@@ -216,7 +222,7 @@ fn cache_rename_fault_leaves_no_torn_entry_and_recovery_is_clean() {
     assert!(server.stray_tmp_files().is_empty());
 
     // Disarmed, the store goes through and the next repeat is a hit.
-    drop(armed);
+    failpoint::disarm();
     let stored = call_once(&addr, &layout_req("gen:grid:10:10"), Duration::from_secs(60))
         .expect("exchange");
     assert!(stored.is_ok());
@@ -226,6 +232,7 @@ fn cache_rename_fault_leaves_no_torn_entry_and_recovery_is_clean() {
     assert_eq!(hit.body, first.body);
 
     server.drain();
+    drop(armed);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -290,7 +297,7 @@ fn checkpoint_write_fault_is_typed_500_with_no_strays() {
     assert!(server.stray_tmp_files().is_empty(), "torn checkpoint left on disk");
 
     // Disarmed, the identical request completes and the books balance.
-    drop(armed);
+    failpoint::disarm();
     let ok = call_once(&addr, &layout_req("gen:grid:12:12"), Duration::from_secs(60))
         .expect("exchange");
     assert!(ok.is_ok(), "{} {}", ok.code, ok.reason);
@@ -298,6 +305,7 @@ fn checkpoint_write_fault_is_typed_500_with_no_strays() {
     assert_eq!(snap.counter("parhde_layout_failed_total"), Some(1));
     assert_lifecycle_invariant(&snap);
     server.drain();
+    drop(armed);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -332,7 +340,7 @@ fn budget_reserve_fault_sheds_typed_429_and_the_client_backs_off() {
     assert_eq!(out.retries, 2, "retry budget not fully spent on 429s");
 
     // Clears instantly once the fault is disarmed.
-    drop(armed);
+    failpoint::disarm();
     let ok = call_once(&addr, &layout_req("gen:grid:10:10"), Duration::from_secs(60))
         .expect("exchange");
     assert!(ok.is_ok(), "{} {}", ok.code, ok.reason);
@@ -340,6 +348,7 @@ fn budget_reserve_fault_sheds_typed_429_and_the_client_backs_off() {
     assert!(snap.counter("parhde_layout_busy_total").unwrap_or(0) >= 4);
     assert_lifecycle_invariant(&snap);
     server.drain();
+    drop(armed);
 }
 
 #[test]

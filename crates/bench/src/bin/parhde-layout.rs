@@ -77,6 +77,7 @@ use parhde::{
     try_par_hde_nd_supervised, try_par_hde_resume, try_phde, try_pivot_mds,
     Checkpoint, CheckpointSpec, HdeError, HdeStats, Layout, SuperviseOptions,
 };
+use parhde_util::shortest;
 use parhde_util::supervisor;
 use std::time::Duration;
 use parhde_draw::render::{try_render_graph, RenderOptions};
@@ -762,10 +763,15 @@ fn layout_and_emit<G: GraphStore>(
     // ORIGINAL input ids via the LCC mapping; packed snapshot ids are
     // already final.
     if let Some(csv_path) = &cli.csv {
-        let mut text = String::from("id,x,y\n");
+        use std::io::Write;
+        let mut text = b"id,x,y\n".to_vec();
         for v in 0..g.num_vertices() {
             let id = old_ids.map_or(v as u32, |ids| ids[v]);
-            text.push_str(&format!("{},{},{}\n", id, layout.x[v], layout.y[v]));
+            write!(text, "{id},").expect("writing to a Vec cannot fail");
+            shortest::push(&mut text, layout.x[v]);
+            text.push(b',');
+            shortest::push(&mut text, layout.y[v]);
+            text.push(b'\n');
         }
         if let Err(e) = std::fs::write(csv_path, text) {
             let msg = format!("cannot write {}: {e}", csv_path.display());

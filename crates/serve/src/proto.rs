@@ -35,7 +35,8 @@ pub const OK: u16 = 200;
 pub const BAD_REQUEST: u16 = 400;
 /// The request's deadline elapsed before a worker could start it.
 pub const TIMEOUT: u16 = 408;
-/// The request can never fit the server's total memory budget.
+/// The request can never fit the server's total memory budget, or its
+/// reply would exceed one frame.
 pub const TOO_LARGE: u16 = 413;
 /// Overloaded: the queue or the shared memory budget is full *right now*;
 /// retry after the hinted backoff.
@@ -377,15 +378,38 @@ impl Response {
         self.code == OK
     }
 
-    /// Encodes the response payload.
-    pub fn encode(&self) -> Vec<u8> {
+    /// The status line, the headers and the blank line before the body.
+    fn head(&self) -> String {
         let mut out = format!("{PROTO} {} {}\n", self.code, self.reason);
         for (k, v) in &self.headers {
             out.push_str(&format!("{k}: {v}\n"));
         }
         out.push('\n');
-        out.push_str(&self.body);
-        out.into_bytes()
+        out
+    }
+
+    /// Bytes of the encoded payload: the head, then the body.
+    pub(crate) fn payload_len(&self) -> usize {
+        self.head().len() + self.body.len()
+    }
+
+    /// Encodes the response as one frame, length prefix included, into a
+    /// buffer of exactly the frame's size: the body is copied once.
+    ///
+    /// # Errors
+    /// The payload's length, when it exceeds [`MAX_FRAME`].
+    pub fn encode_frame(&self) -> Result<Vec<u8>, usize> {
+        let head = self.head();
+        let len = head.len() + self.body.len();
+        let prefix = u32::try_from(len)
+            .ok()
+            .filter(|&l| l <= MAX_FRAME)
+            .ok_or(len)?;
+        let mut frame = Vec::with_capacity(4 + len);
+        frame.extend_from_slice(&prefix.to_le_bytes());
+        frame.extend_from_slice(head.as_bytes());
+        frame.extend_from_slice(self.body.as_bytes());
+        Ok(frame)
     }
 
     /// Parses a response payload.
@@ -470,7 +494,11 @@ mod tests {
     fn response_roundtrip() {
         let mut resp = Response::new(OK, "ok").with("n", 9).with("rung", "full");
         resp.body = "0,1\n2,3\n".into();
-        let parsed = Response::parse(&resp.encode()).unwrap();
+        let frame = resp.encode_frame().unwrap();
+        // One exact-size buffer: the prefix, then the payload.
+        assert_eq!(frame.len(), frame.capacity());
+        assert_eq!(frame.len(), 4 + resp.payload_len());
+        let parsed = Response::parse(&read_frame(&mut frame.as_slice()).unwrap()).unwrap();
         assert!(parsed.is_ok());
         assert_eq!(parsed.header("n"), Some("9"));
         assert_eq!(parsed.body, "0,1\n2,3\n");

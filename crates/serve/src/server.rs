@@ -19,7 +19,8 @@
 //!    │     else supervised ladder  ─► 200 cache:cold (rung: full…trivial)
 //!    │     client vanished         ─► 499 (work checkpointed for resume)
 //!    ▼
-//! respond, release reservation, record service time, write run report
+//! respond (413 when the 200's frame would exceed proto::MAX_FRAME),
+//! release reservation, record service time, write run report
 //! ```
 //!
 //! Draining: the first SIGINT/SIGTERM (or [`Server::request_drain`]) stops
@@ -45,6 +46,7 @@ use parhde_graph::{CompressedCsr, CsrGraph};
 use parhde_linalg::dense::ColMajorMatrix;
 use parhde_trace::registry::{self, Counter, Gauge, Histogram, Registry};
 use parhde_trace::{Record, RunReport, Totals};
+use parhde_util::shortest;
 use parhde_util::supervisor::{self, cancel_flag, CancelFlag};
 use parhde_util::threads::run_with_threads;
 use parhde_util::RunBudget;
@@ -505,7 +507,9 @@ fn shed_overloaded(shared: &Arc<Shared>, mut stream: TcpStream) {
         .with("retry-after-ms", hint)
         .with("trace-id", &trace_id);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = proto::write_frame(&mut stream, &resp.encode());
+    if let Ok(frame) = resp.encode_frame() {
+        let _ = std::io::Write::write_all(&mut stream, &frame);
+    }
     if shared.cfg.log_requests {
         log_request_event(&trace_id, "SHED", proto::OVERLOADED, "queue full", 0.0);
     }
@@ -652,7 +656,7 @@ fn handle_connection(shared: &Arc<Shared>, pending: Pending) {
                     .with("error", "whole-frame read budget exhausted")
                     .with("connection", "close")
                     .with("trace-id", shared.next_trace_id());
-                let _ = write_response_frame(&mut stream, &resp.encode());
+                let _ = write_response_frame(&mut stream, &resp);
                 break if is_first { CloseCause::Unreadable } else { CloseCause::Quiet };
             }
             Err(proto::FrameError::TooLarge(len)) => {
@@ -663,7 +667,7 @@ fn handle_connection(shared: &Arc<Shared>, pending: Pending) {
                     .with("error", format!("frame length {len} exceeds cap"))
                     .with("connection", "close")
                     .with("trace-id", shared.next_trace_id());
-                let _ = write_response_frame(&mut stream, &resp.encode());
+                let _ = write_response_frame(&mut stream, &resp);
                 break if is_first { CloseCause::Unreadable } else { CloseCause::Quiet };
             }
             Err(proto::FrameError::TruncatedEof | proto::FrameError::Io(_)) => {
@@ -718,7 +722,7 @@ fn handle_connection(shared: &Arc<Shared>, pending: Pending) {
         let response = response
             .with("trace-id", &trace_id)
             .with("connection", if close { "close" } else { "keep-alive" });
-        let write = write_response_frame(&mut stream, &response.encode());
+        let write = write_response_frame(&mut stream, &response);
         let elapsed_ms = req_accepted.elapsed().as_secs_f64() * 1e3;
         if op_name == "LAYOUT" && response.code == proto::OK {
             // Full server-side latency of a successful layout: queue wait
@@ -755,11 +759,11 @@ fn handle_connection(shared: &Arc<Shared>, pending: Pending) {
     }
 }
 
-/// Writes one response frame, honoring the `serve.write_response`
-/// failpoint: `err` fails before any byte (the peer sees a clean close or
-/// reset), `partial` writes the length prefix plus half the payload then
-/// fails (the peer sees a torn frame and must treat it as a transport
-/// error, never a response).
+/// Encodes and writes one response frame, honoring the
+/// `serve.write_response` failpoint: `err` fails before any byte (the peer
+/// sees a clean close or reset), `partial` writes the length prefix plus
+/// half the payload then fails (the peer sees a torn frame and must treat
+/// it as a transport error, never a response).
 ///
 /// Prefix and payload go out in ONE write: two small writes on a reused
 /// keep-alive connection trip Nagle + delayed-ACK (the prefix segment
@@ -767,32 +771,26 @@ fn handle_connection(shared: &Arc<Shared>, pending: Pending) {
 /// delayed ACK — invisible on fresh connections, where Linux starts in
 /// quickack mode, which is why the one-request-per-connection server
 /// never saw it).
-fn write_response_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
+fn write_response_frame(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
     use parhde_util::failpoint;
     use std::io::Write;
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= proto::MAX_FRAME)
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large")
-        })?;
+    let frame = response.encode_frame().map_err(|len| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("reply of {len} B exceeds the frame cap"),
+        )
+    })?;
     match failpoint::check("serve.write_response") {
         Some(failpoint::Fired::Err) => {
             return Err(failpoint::injected_io_error("serve.write_response"))
         }
         Some(failpoint::Fired::Partial) => {
-            let mut torn = Vec::with_capacity(4 + payload.len() / 2);
-            torn.extend_from_slice(&len.to_le_bytes());
-            torn.extend_from_slice(&payload[..payload.len() / 2]);
-            stream.write_all(&torn)?;
+            stream.write_all(&frame[..4 + (frame.len() - 4) / 2])?;
             let _ = stream.flush();
             return Err(failpoint::injected_io_error("serve.write_response"));
         }
         _ => {}
     }
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(payload);
     stream.write_all(&frame)?;
     stream.flush()
 }
@@ -1338,10 +1336,10 @@ fn layout_resolved<G: GraphStore>(
     if !no_cache && shared.cache.is_some() {
         if let Some(hit) = shared.cache.as_ref().and_then(|c| c.load(key)) {
             shared.metrics.cache_hits.inc();
-            shared.metrics.layout_completed.inc();
             let elapsed = accepted.elapsed();
             shared.clock.record_ms(elapsed.as_secs_f64() * 1e3);
-            return ok_response(&hit.coords, n, m, &hit.rung, "hit", elapsed, &[]);
+            let reply = ok_response(&hit.coords, n, m, &hit.rung, "hit", elapsed, &[]);
+            return completed(shared, trace_id, reply);
         }
         shared.metrics.cache_misses.inc();
     }
@@ -1395,14 +1393,15 @@ fn layout_resolved<G: GraphStore>(
     shared.clock.record_ms(elapsed.as_secs_f64() * 1e3);
     match result {
         Ok(done) => {
-            shared.metrics.layout_completed.inc();
             match done.cache_tag {
                 "warm" => shared.metrics.cache_warm.inc(),
                 _ => shared.metrics.cache_cold.inc(),
             };
             let mut notes = admission_note;
             notes.extend(done.warnings);
-            ok_response(&done.coords, n, m, done.rung, done.cache_tag, elapsed, &notes)
+            let reply =
+                ok_response(&done.coords, n, m, done.rung, done.cache_tag, elapsed, &notes);
+            completed(shared, trace_id, reply)
         }
         Err(e) => {
             let (code, reason) = classify_error(&e);
@@ -1602,23 +1601,44 @@ fn ok_response(
     resp
 }
 
+/// Counts a layout answered by `reply`, or answers 413 in its place when
+/// its frame would exceed [`proto::MAX_FRAME`] once the connection loop
+/// adds its `trace-id` and `connection` headers (DESIGN.md §13.1).
+fn completed(shared: &Shared, trace_id: &str, reply: Response) -> Response {
+    let bytes = reply.payload_len()
+        + "trace-id: \n".len()
+        + trace_id.len()
+        + "connection: keep-alive\n".len();
+    if bytes > proto::MAX_FRAME as usize {
+        shared.metrics.layout_too_large.inc();
+        return Response::new(proto::TOO_LARGE, "reply too large")
+            .with("reply-bytes", bytes)
+            .with("frame-cap", proto::MAX_FRAME);
+    }
+    shared.metrics.layout_completed.inc();
+    reply
+}
+
+/// Body bytes reserved per coordinate: a layout coordinate of magnitude
+/// about 1e-3 prints as `-0.00` and 17 digits, then its separator.
+const CSV_BYTES_PER_VALUE: usize = 24;
+
 /// The coordinate CSV body: one row per vertex, shortest-roundtrip float
 /// formatting — bit-identical coordinates produce byte-identical bodies,
 /// which the cache-consistency tests rely on.
 fn coords_csv(coords: &ColMajorMatrix) -> String {
-    use std::fmt::Write;
     let (n, p) = (coords.rows(), coords.cols());
-    let mut out = String::with_capacity(n * p * 20);
+    let mut out = Vec::with_capacity(n * p * CSV_BYTES_PER_VALUE);
     for r in 0..n {
         for c in 0..p {
             if c > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            write!(out, "{}", coords.col(c)[r]).expect("writing to a String cannot fail");
+            shortest::push(&mut out, coords.col(c)[r]);
         }
-        out.push('\n');
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("the float printer writes ASCII")
 }
 
 /// Scopes one request's in-flight accounting and watchdog registration;

@@ -117,6 +117,27 @@ fn round_trip_then_cache_hit_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_cold_reply_body_is_pinned_byte_for_byte() {
+    // The body's FNV-1a digest as `format!("{}", x)` rendered it per value:
+    // the encoder must keep printing every coordinate byte for byte that
+    // way (DESIGN.md §13.4). Hits and warm resumes equal a cold body
+    // through the checks above, so this pins all three. The two backends
+    // round differently, so each has its digest.
+    let (server, addr) = start(ServerConfig::default());
+    let cold = call(&addr, &layout_req("gen:grid:11:11"));
+    assert!(cold.is_ok(), "cold: {} {}", cold.code, cold.reason);
+    assert_eq!(cold.header("cache"), Some("cold"));
+    assert_eq!(cold.header("dim"), Some("2"));
+    let digest = parhde_util::durable::fnv64(cold.body.as_bytes());
+    let pinned = match parhde_linalg::backend::active_name() {
+        "simd" => 0xeb0f_1f8e_9291_87fe,
+        _ => 0xb2ea_3864_95a3_f09a,
+    };
+    assert_eq!(digest, pinned, "body digest {digest:#018x}");
+    server.drain();
+}
+
 /// Sends `reqs` at once (released together by a barrier), one client
 /// thread each; returns each response with its round-trip time.
 fn call_together(addr: &str, reqs: &[Request]) -> Vec<(Response, Duration)> {

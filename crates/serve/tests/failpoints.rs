@@ -195,6 +195,28 @@ fn write_fault_cancels_buffered_pipeline_successors() {
 }
 
 #[test]
+fn partial_write_fault_sends_the_prefix_and_half_the_payload() {
+    let armed = Armed::arm("seed=1,serve.write_response=partial:1");
+    let (server, addr) = start(ServerConfig::default());
+
+    // The torn frame is the whole reply's length prefix, then the first
+    // half of its payload, then a closed connection.
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    proto::write_frame(&mut stream, &Request::new(Op::Ping).encode()).unwrap();
+    let mut torn = Vec::new();
+    let _ = std::io::Read::read_to_end(&mut stream, &mut torn);
+    drop(stream);
+    failpoint::disarm();
+    assert!(torn.len() >= 4, "no length prefix: {torn:?}");
+    let len = u32::from_le_bytes(torn[..4].try_into().unwrap()) as usize;
+    assert_eq!(torn.len(), 4 + len / 2, "torn frame for a {len}-byte payload");
+    assert!(torn[4..].starts_with(b"PARHDE/1 200 pong\n"));
+    server.drain();
+    drop(armed);
+}
+
+#[test]
 fn cache_rename_fault_leaves_no_torn_entry_and_recovery_is_clean() {
     let armed = Armed::arm("seed=3,cache.rename=err:1");
     let dir = scratch("rename");

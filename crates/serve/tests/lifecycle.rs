@@ -257,3 +257,35 @@ fn garbage_after_a_valid_frame_closes_with_a_typed_400() {
     server.drain();
 }
 
+#[test]
+fn a_reply_over_one_frame_is_a_typed_413_on_a_live_connection() {
+    let (server, addr) = start(ServerConfig::default());
+
+    // 250 000 vertices × 16 coordinates print to about 80 MB of CSV, over
+    // the 64 MiB frame cap. The daemon must say so and keep the
+    // connection, not close it with the reply unsent.
+    let mut client = Client::connect(&addr).unwrap();
+    client.set_timeout(Duration::from_secs(600)).unwrap();
+    let req = layout_req("gen:grid:500:500")
+        .with("deadline-ms", 60_000)
+        .with("dim", 16)
+        .with("subspace", 20);
+    let resp = client.call(&req).unwrap();
+    assert_eq!(resp.code, proto::TOO_LARGE, "{} {}", resp.code, resp.reason);
+    assert_eq!(resp.reason, "reply too large");
+    let reply_bytes: u64 = resp.header("reply-bytes").unwrap().parse().unwrap();
+    assert!(reply_bytes > u64::from(proto::MAX_FRAME), "reply-bytes {reply_bytes}");
+    assert_eq!(resp.header("frame-cap"), Some(proto::MAX_FRAME.to_string().as_str()));
+    assert_eq!(resp.header("connection"), Some("keep-alive"));
+    let pong = client.call(&Request::new(Op::Ping)).unwrap();
+    assert!(pong.is_ok(), "{} {}", pong.code, pong.reason);
+    drop(client);
+
+    let snap = stats_snapshot(&addr);
+    assert_eq!(snap.counter("parhde_layout_too_large_total"), Some(1));
+    assert_eq!(snap.counter("parhde_layout_completed_total").unwrap_or(0), 0);
+    let started = snap.counter("parhde_requests_started_total").unwrap_or(0);
+    let terminals: u64 = TERMINALS.iter().map(|n| snap.counter(n).unwrap_or(0)).sum();
+    assert_eq!(started, terminals, "lifecycle invariant broken by a 413 reply");
+    server.drain();
+}

@@ -27,6 +27,8 @@
 //!   a seed-reproducible schedule (`PARHDE_FAILPOINTS`) for chaos tests.
 //! * [`durable`] — what the on-disk formats share: FNV-1a, the durable
 //!   publish steps, the trailing checksum and a bounds-checked reader.
+//! * [`shortest`] — shortest round-trip `f64` printing, byte for byte
+//!   what `{}` prints, for the coordinate CSVs.
 
 #![warn(missing_docs)]
 
@@ -35,6 +37,7 @@ pub mod failpoint;
 pub mod fmt;
 pub mod par;
 pub mod rng;
+pub mod shortest;
 pub mod stats;
 pub mod supervisor;
 pub mod threads;

@@ -17,12 +17,12 @@
 //!
 //! `--linalg-shootout` adds the PR-5 kernel comparison (`BENCH_pr5.json`):
 //! the fused one-pass `Sᵀ·L·S` vs the staged `laplacian_spmm` + `at_b`
-//! pair (bit-identical outputs, verified here per graph), and the three
-//! DOrtho variants (MGS / CGS / BCGS2), all at `s = 50` on the same trio.
+//! pair (bit-identical outputs, verified here per graph), and the two
+//! DOrtho variants (MGS / CGS), all at `s = 50` on the same trio.
 //!
 //! `--backend-shootout` adds the PR-8 comparison (`BENCH_pr8.json`): the
 //! scalar reference kernels vs the explicit-SIMD (AVX2+FMA) backend, per
-//! kernel — fused TripleProd, SYRK, staged SpMM, BCGS2, dot, axpy — on the
+//! kernel — fused TripleProd, SYRK, staged SpMM, dot, axpy — on the
 //! same kron / grid / pref trio. Exact-class kernels are asserted bitwise
 //! identical across backends while timing. On a CPU without the SIMD
 //! backend only the scalar column is measured.
@@ -32,7 +32,7 @@
 //! compared against the baseline's embedded runs (paired by position);
 //! any >25% slowdown in either bucket fails the invocation with exit 3.
 //! With `--backend-shootout` the gate also fails (exit 3) if SIMD loses
-//! to scalar on fused TripleProd or BCGS2 on any measured graph.
+//! to scalar on fused TripleProd on any measured graph.
 //!
 //! ```text
 //! bench-baseline --out BENCH_pr3.json [--skip-kernel-bench]
@@ -194,7 +194,6 @@ struct LinalgTiming {
     staged_s: f64,
     mgs_s: f64,
     cgs_s: f64,
-    bcgs2_s: f64,
 }
 
 impl LinalgTiming {
@@ -238,10 +237,6 @@ impl LinalgTiming {
             let mut c = smat.clone();
             std::hint::black_box(ortho::cgs(&mut c, Some(&degrees), 1e-3));
         });
-        let bcgs2_s = best_of(reps, || {
-            let mut c = smat.clone();
-            std::hint::black_box(ortho::bcgs2(&mut c, Some(&degrees), 1e-3));
-        });
         Self {
             label,
             n,
@@ -251,7 +246,6 @@ impl LinalgTiming {
             staged_s,
             mgs_s,
             cgs_s,
-            bcgs2_s,
         }
     }
 
@@ -259,8 +253,7 @@ impl LinalgTiming {
         format!(
             "{{\"graph\":\"{}\",\"n\":{},\"m\":{},\"s\":{},\
              \"fused_s\":{},\"staged_s\":{},\"fused_speedup_vs_staged\":{},\
-             \"mgs_s\":{},\"cgs_s\":{},\"bcgs2_s\":{},\
-             \"bcgs2_speedup_vs_mgs\":{}}}",
+             \"mgs_s\":{},\"cgs_s\":{}}}",
             escape(self.label),
             self.n,
             self.m,
@@ -270,8 +263,6 @@ impl LinalgTiming {
             number(self.staged_s / self.fused_s),
             number(self.mgs_s),
             number(self.cgs_s),
-            number(self.bcgs2_s),
-            number(self.mgs_s / self.bcgs2_s),
         )
     }
 }
@@ -281,7 +272,6 @@ struct KernelSet {
     fused_s: f64,
     syrk_s: f64,
     spmm_s: f64,
-    bcgs2_s: f64,
     dot_s: f64,
     axpy_s: f64,
 }
@@ -290,12 +280,11 @@ impl KernelSet {
     fn to_json(&self, prefix: &str) -> String {
         format!(
             "\"{prefix}_fused_s\":{},\"{prefix}_syrk_s\":{},\
-             \"{prefix}_spmm_s\":{},\"{prefix}_bcgs2_s\":{},\
-             \"{prefix}_dot_s\":{},\"{prefix}_axpy_s\":{}",
+             \"{prefix}_spmm_s\":{},\"{prefix}_dot_s\":{},\
+             \"{prefix}_axpy_s\":{}",
             number(self.fused_s),
             number(self.syrk_s),
             number(self.spmm_s),
-            number(self.bcgs2_s),
             number(self.dot_s),
             number(self.axpy_s),
         )
@@ -323,7 +312,7 @@ impl BackendTiming {
         choice: parhde_linalg::backend::Choice,
         reps: usize,
     ) -> KernelSet {
-        use parhde_linalg::{blas1, fused, ortho, spmm, syrk};
+        use parhde_linalg::{blas1, fused, spmm, syrk};
         parhde_linalg::backend::install(choice).expect("backend install");
         let fused_s = best_of(reps, || {
             std::hint::black_box(fused::triple_product(g, degrees, smat));
@@ -333,10 +322,6 @@ impl BackendTiming {
         });
         let spmm_s = best_of(reps, || {
             std::hint::black_box(spmm::laplacian_spmm(g, degrees, smat));
-        });
-        let bcgs2_s = best_of(reps, || {
-            let mut c = smat.clone();
-            std::hint::black_box(ortho::bcgs2(&mut c, Some(degrees), 1e-3));
         });
         // BLAS-1 on the whole n×(s+1) buffer, repeated so the measurement
         // is not all clone/allocation cost.
@@ -353,12 +338,12 @@ impl BackendTiming {
             }
             std::hint::black_box(&y);
         });
-        KernelSet { fused_s, syrk_s, spmm_s, bcgs2_s, dot_s, axpy_s }
+        KernelSet { fused_s, syrk_s, spmm_s, dot_s, axpy_s }
     }
 
     fn measure(label: &'static str, g: &CsrGraph, s: usize, reps: usize) -> Self {
         use parhde_linalg::backend::Choice;
-        use parhde_linalg::{fused, ortho, syrk};
+        use parhde_linalg::{fused, syrk};
         let n = g.num_vertices();
         let degrees = g.degree_vector();
         let mut rng = parhde_util::Xoshiro256StarStar::seed_from_u64(0x9a7de);
@@ -375,16 +360,13 @@ impl BackendTiming {
         });
         if simd.is_some() {
             // Exact-class kernels must be a pure reschedule across
-            // backends: identical bits; BCGS2's kept/dropped decisions
-            // must agree even where dots are tolerance-class.
+            // backends: identical bits.
             let bits = |m: &parhde_linalg::ColMajorMatrix| {
                 m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             parhde_linalg::backend::install(Choice::Scalar).unwrap();
             let fused_ref = fused::triple_product(g, &degrees, &smat);
             let syrk_ref = syrk::at_a(&smat);
-            let mut c = smat.clone();
-            let ortho_ref = ortho::bcgs2(&mut c, Some(&degrees), 1e-3);
             parhde_linalg::backend::install(Choice::Simd).unwrap();
             assert_eq!(
                 bits(&fused::triple_product(g, &degrees, &smat)),
@@ -395,12 +377,6 @@ impl BackendTiming {
                 bits(&syrk::at_a(&smat)),
                 bits(&syrk_ref),
                 "SYRK differs across backends on {label}"
-            );
-            let mut c = smat.clone();
-            assert_eq!(
-                ortho::bcgs2(&mut c, Some(&degrees), 1e-3).kept,
-                ortho_ref.kept,
-                "BCGS2 kept-column decisions differ across backends on {label}"
             );
         }
         // Leave the process on auto for whatever runs next.
@@ -431,7 +407,6 @@ impl BackendTiming {
                 ("fused", (|k: &KernelSet| k.fused_s) as fn(&KernelSet) -> f64),
                 ("syrk", |k| k.syrk_s),
                 ("spmm", |k| k.spmm_s),
-                ("bcgs2", |k| k.bcgs2_s),
                 ("dot", |k| k.dot_s),
                 ("axpy", |k| k.axpy_s),
             ] {
@@ -730,7 +705,7 @@ fn main() {
         }
     }
 
-    // The linalg shoot-out: fused vs staged TripleProd and the three
+    // The linalg shoot-out: fused vs staged TripleProd and the two
     // DOrtho variants, on the same trio at the paper's layout-scale s.
     let mut linalgs = Vec::new();
     if linalg_shootout {
@@ -752,17 +727,15 @@ fn main() {
         for t in &linalgs {
             eprintln!(
                 "{}: fused {:.1} ms, staged {:.1} ms ({:.2}x); dortho mgs \
-                 {:.1} ms, cgs {:.1} ms, bcgs2 {:.1} ms ({:.2}x vs mgs)",
+                 {:.1} ms, cgs {:.1} ms",
                 t.label,
                 t.fused_s * 1e3,
                 t.staged_s * 1e3,
                 t.staged_s / t.fused_s,
                 t.mgs_s * 1e3,
                 t.cgs_s * 1e3,
-                t.bcgs2_s * 1e3,
-                t.mgs_s / t.bcgs2_s,
             );
-            // The acceptance criteria this artifact exists to witness.
+            // The acceptance criterion this artifact exists to witness.
             if t.fused_s >= t.staged_s {
                 eprintln!(
                     "bench-baseline: WARNING: fused ({:.1} ms) did not beat \
@@ -772,21 +745,12 @@ fn main() {
                     t.label,
                 );
             }
-            if t.bcgs2_s >= t.mgs_s {
-                eprintln!(
-                    "bench-baseline: WARNING: bcgs2 ({:.1} ms) did not beat \
-                     mgs ({:.1} ms) on {}",
-                    t.bcgs2_s * 1e3,
-                    t.mgs_s * 1e3,
-                    t.label,
-                );
-            }
         }
     }
 
     // The backend shoot-out: the scalar reference kernels vs the SIMD
     // backend, per kernel, on the same trio. With `--gate`, SIMD losing
-    // to scalar on fused TripleProd or BCGS2 fails the invocation.
+    // to scalar on fused TripleProd fails the invocation.
     let mut backends = Vec::new();
     if backend_shootout {
         let reps = 5;
@@ -816,34 +780,26 @@ fn main() {
             };
             eprintln!(
                 "{}: fused {:.1} -> {:.1} ms ({:.2}x), syrk {:.2}x, \
-                 spmm {:.2}x, bcgs2 {:.1} -> {:.1} ms ({:.2}x), \
-                 dot {:.2}x, axpy {:.2}x",
+                 spmm {:.2}x, dot {:.2}x, axpy {:.2}x",
                 t.label,
                 t.scalar.fused_s * 1e3,
                 simd.fused_s * 1e3,
                 t.speedup(|k| k.fused_s).unwrap(),
                 t.speedup(|k| k.syrk_s).unwrap(),
                 t.speedup(|k| k.spmm_s).unwrap(),
-                t.scalar.bcgs2_s * 1e3,
-                simd.bcgs2_s * 1e3,
-                t.speedup(|k| k.bcgs2_s).unwrap(),
                 t.speedup(|k| k.dot_s).unwrap(),
                 t.speedup(|k| k.axpy_s).unwrap(),
             );
-            // The acceptance criteria this artifact exists to witness:
-            // SIMD must not lose to scalar on the two headline kernels.
-            for (name, speedup) in [
-                ("fused TripleProd", t.speedup(|k| k.fused_s).unwrap()),
-                ("bcgs2", t.speedup(|k| k.bcgs2_s).unwrap()),
-            ] {
-                if speedup < 1.0 {
-                    losses += 1;
-                    eprintln!(
-                        "bench-baseline: WARNING: simd {name} lost to \
-                         scalar on {} ({speedup:.2}x)",
-                        t.label,
-                    );
-                }
+            // The acceptance criterion this artifact exists to witness:
+            // SIMD must not lose to scalar on the headline kernel.
+            let speedup = t.speedup(|k| k.fused_s).unwrap();
+            if speedup < 1.0 {
+                losses += 1;
+                eprintln!(
+                    "bench-baseline: WARNING: simd fused TripleProd lost to \
+                     scalar on {} ({speedup:.2}x)",
+                    t.label,
+                );
             }
         }
         if losses > 0 && gate.is_some() {

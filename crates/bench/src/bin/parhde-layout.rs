@@ -24,8 +24,7 @@
 //!   --bfs-mode <mode>      auto|direction-opt|per-source|batched — BFS-phase
 //!                          execution mode (default auto: the planner picks
 //!                          from n, m, s and the thread count)
-//!   --ortho <mgs|cgs|bcgs2> Gram-Schmidt variant for DOrtho (default mgs)
-//!   --cgs                  shorthand for --ortho cgs
+//!   --ortho <mgs|cgs>      Gram-Schmidt variant for DOrtho (default mgs)
 //!   --linalg-mode <mode>   fused|staged — TripleProd execution (default
 //!                          fused: one-pass Sᵀ·L·S; staged: SpMM then GEMM;
 //!                          bit-identical layouts either way)
@@ -77,6 +76,7 @@ use parhde::{
     try_par_hde_nd_supervised, try_par_hde_resume, try_phde, try_pivot_mds,
     Checkpoint, CheckpointSpec, HdeError, HdeStats, Layout, SuperviseOptions,
 };
+use parhde_bench::input;
 use parhde_util::shortest;
 use parhde_util::supervisor;
 use std::time::Duration;
@@ -84,7 +84,7 @@ use parhde_draw::render::{try_render_graph, RenderOptions};
 use parhde_graph::prep::largest_component;
 use parhde_graph::report::GraphReport;
 use parhde_graph::store::GraphStore;
-use parhde_graph::{gen, CompressedCsr, CsrGraph};
+use parhde_graph::{CompressedCsr, CsrGraph};
 use parhde_trace::{RunReport, TraceSession};
 use parhde_util::Timer;
 use std::path::PathBuf;
@@ -238,44 +238,6 @@ fn parse_bytes(text: &str) -> Option<u64> {
     num.trim().parse::<u64>().ok()?.checked_mul(scale)
 }
 
-/// Builds a graph from a `gen:` pseudo-input (`gen:kron:10:16`,
-/// `gen:grid:200x120`, `gen:pref:50000:12`).
-fn generate(spec: &str, seed: u64, em: &mut Emitter) -> CsrGraph {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = |em: &mut Emitter| -> ! {
-        em.fail(2, &format!(
-            "bad generator spec {spec:?} (want gen:kron:<scale>[:<ef>], \
-             gen:grid:<rows>[x<cols>], or gen:pref:<n>[:<attach>])"
-        ))
-    };
-    match parts.as_slice() {
-        ["gen", "kron", rest @ ..] => {
-            let scale: u32 = rest.first().and_then(|v| v.parse().ok()).unwrap_or(10);
-            let ef: usize = rest.get(1).and_then(|v| v.parse().ok()).unwrap_or(16);
-            if scale > 24 {
-                em.fail(2, "gen:kron scale capped at 24");
-            }
-            gen::kron(scale, ef, seed)
-        }
-        ["gen", "grid", dims] => {
-            let (r, c) = match dims.split_once('x') {
-                Some((r, c)) => (r.parse().ok(), c.parse().ok()),
-                None => (dims.parse().ok(), dims.parse().ok()),
-            };
-            match (r, c) {
-                (Some(r), Some(c)) if r * c >= 8 => gen::grid2d(r, c),
-                _ => bad(em),
-            }
-        }
-        ["gen", "pref", rest @ ..] => {
-            let n: usize = rest.first().and_then(|v| v.parse().ok()).unwrap_or(10_000);
-            let attach: usize = rest.get(1).and_then(|v| v.parse().ok()).unwrap_or(8);
-            gen::pref_attach(n, attach.max(1), seed)
-        }
-        _ => bad(em),
-    }
-}
-
 fn main() {
     // SIGINT/SIGTERM set the global cancel flag; budgets built with
     // `honoring_global_cancel` observe it at the next cooperative check and
@@ -358,7 +320,7 @@ fn run() {
             ($opt:literal) => {
                 match value!().parse() {
                     Ok(v) => v,
-                    Err(_) => em.fail(2, concat!("bad ", $opt)),
+                    Err(e) => em.fail(2, &format!(concat!("bad ", $opt, ": {}"), e)),
                 }
             };
         }
@@ -368,7 +330,6 @@ fn run() {
             "--random-pivots" => pivots = PivotStrategy::Random,
             "--bfs-mode" => bfs_mode = parsed!("--bfs-mode"),
             "--ortho" => ortho = parsed!("--ortho"),
-            "--cgs" => ortho = OrthoMethod::Cgs,
             "--linalg-mode" => linalg_mode = parsed!("--linalg-mode"),
             "--backend" => backend = Some(parsed!("--backend")),
             "--plain-ortho" => d_orthogonalize = false,
@@ -479,7 +440,10 @@ fn run() {
     if input.starts_with("gen:") {
         let raw = {
             let _s = parhde_trace::span!("load");
-            generate(&input, seed, &mut em)
+            match input::generate(&input, seed) {
+                Ok(g) => g,
+                Err(msg) => em.fail(2, &msg),
+            }
         };
         run_plain(em, raw, base_cfg, cli);
         return;
@@ -507,28 +471,11 @@ fn run() {
         layout_and_emit(em, &g, None, base_cfg, cli);
         return;
     }
-    let raw: CsrGraph = {
+    let raw = {
         let _s = parhde_trace::span!("load");
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => em.fail_typed(
-                &format!("cannot read {}", path.display()),
-                &HdeError::from(e),
-            ),
-        };
-        if text.trim_start().starts_with("%%MatrixMarket") {
-            match parhde_graph::io::parse_matrix_market(&text) {
-                Ok(g) => g,
-                Err(e) => em.fail_typed(
-                    "MatrixMarket parse error",
-                    &HdeError::from(parhde_graph::io::GraphIoError::from(e)),
-                ),
-            }
-        } else {
-            match parhde_graph::io::parse_edge_list(&text, 0) {
-                Ok(g) => g,
-                Err(e) => em.fail_typed("edge-list parse error", &HdeError::from(e)),
-            }
+        match input::read_text(&path) {
+            Ok(g) => g,
+            Err(e) => em.fail_typed(&e.context, &e.error),
         }
     };
     run_plain(em, raw, base_cfg, cli);

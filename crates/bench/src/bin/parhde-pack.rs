@@ -12,8 +12,8 @@
 //! parhde-pack <input> [<output.phdegrf>] [options]
 //!
 //!   <input>               .mtx (MatrixMarket) or edge-list text file, or a
-//!                         generated pseudo-input (same grammar as
-//!                         parhde-layout):
+//!                         generated pseudo-input (`parhde_bench::input`, the
+//!                         grammar parhde-layout reads):
 //!                           gen:kron:<scale>[:<edgefactor>]   Kronecker
 //!                           gen:grid:<rows>[x<cols>]          2-D grid
 //!                           gen:pref:<n>[:<attach>]           pref. attachment
@@ -33,11 +33,12 @@
 //! I/O or parse error's code (3 = I/O, 4 = parse).
 
 use parhde::HdeError;
+use parhde_bench::input;
 use parhde_graph::prep::largest_component;
 use parhde_graph::store::{GraphStore, NeighborScratch};
-use parhde_graph::{gen, CompressedCsr, CsrGraph};
+use parhde_graph::CompressedCsr;
 use parhde_util::Timer;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 fn fail(code: i32, msg: &str) -> ! {
@@ -47,44 +48,6 @@ fn fail(code: i32, msg: &str) -> ! {
 
 fn fail_typed(context: &str, e: &HdeError) -> ! {
     fail(e.exit_code(), &format!("{context}: {e}"))
-}
-
-/// Builds a graph from a `gen:` pseudo-input (same grammar as
-/// parhde-layout, so a benched spec can be packed verbatim).
-fn generate(spec: &str, seed: u64) -> CsrGraph {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = || -> ! {
-        fail(2, &format!(
-            "bad generator spec {spec:?} (want gen:kron:<scale>[:<ef>], \
-             gen:grid:<rows>[x<cols>], or gen:pref:<n>[:<attach>])"
-        ))
-    };
-    match parts.as_slice() {
-        ["gen", "kron", rest @ ..] => {
-            let scale: u32 = rest.first().and_then(|v| v.parse().ok()).unwrap_or(10);
-            let ef: usize = rest.get(1).and_then(|v| v.parse().ok()).unwrap_or(16);
-            if scale > 24 {
-                fail(2, "gen:kron scale capped at 24");
-            }
-            gen::kron(scale, ef, seed)
-        }
-        ["gen", "grid", dims] => {
-            let (r, c) = match dims.split_once('x') {
-                Some((r, c)) => (r.parse().ok(), c.parse().ok()),
-                None => (dims.parse().ok(), dims.parse().ok()),
-            };
-            match (r, c) {
-                (Some(r), Some(c)) if r * c >= 8 => gen::grid2d(r, c),
-                _ => bad(),
-            }
-        }
-        ["gen", "pref", rest @ ..] => {
-            let n: usize = rest.first().and_then(|v| v.parse().ok()).unwrap_or(10_000);
-            let attach: usize = rest.get(1).and_then(|v| v.parse().ok()).unwrap_or(8);
-            gen::pref_attach(n, attach.max(1), seed)
-        }
-        _ => bad(),
-    }
 }
 
 fn main() {
@@ -130,30 +93,10 @@ fn main() {
 
     // Load.
     let t_load = Timer::start();
-    let raw: CsrGraph = if input.starts_with("gen:") {
-        generate(&input, seed)
+    let raw = if input.starts_with("gen:") {
+        input::generate(&input, seed).unwrap_or_else(|msg| fail(2, &msg))
     } else {
-        let path = PathBuf::from(&input);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                fail_typed(&format!("cannot read {}", path.display()), &HdeError::from(e))
-            }
-        };
-        if text.trim_start().starts_with("%%MatrixMarket") {
-            match parhde_graph::io::parse_matrix_market(&text) {
-                Ok(g) => g,
-                Err(e) => fail_typed(
-                    "MatrixMarket parse error",
-                    &HdeError::from(parhde_graph::io::GraphIoError::from(e)),
-                ),
-            }
-        } else {
-            match parhde_graph::io::parse_edge_list(&text, 0) {
-                Ok(g) => g,
-                Err(e) => fail_typed("edge-list parse error", &HdeError::from(e)),
-            }
-        }
+        input::read_text(Path::new(&input)).unwrap_or_else(|e| fail_typed(&e.context, &e.error))
     };
 
     // Preprocess: pack the largest component by default, because the layout

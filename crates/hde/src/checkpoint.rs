@@ -104,7 +104,6 @@ pub fn config_fingerprint(cfg: &ParHdeConfig) -> u64 {
     h.update(&[match cfg.ortho {
         OrthoMethod::Mgs => 0u8,
         OrthoMethod::Cgs => 1,
-        OrthoMethod::Bcgs2 => 2,
     }]);
     // `cfg.linalg_mode` is deliberately NOT hashed: fused and staged
     // TripleProd are bit-identical (tested), so resuming a staged
@@ -462,6 +461,16 @@ mod tests {
             ck.validate_for(&g, &cfg, 3).unwrap_err(),
             HdeError::CheckpointMismatch(m) if m.contains("dimension")
         ));
+    }
+
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        // Daemon cache keys and PHDECKPT files hash the fingerprint, so a
+        // renumbered enum arm would orphan every stored entry.
+        let mgs = ParHdeConfig::default();
+        let cgs = ParHdeConfig { ortho: OrthoMethod::Cgs, ..mgs.clone() };
+        assert_eq!(config_fingerprint(&mgs), 0x11b4_a30e_4dbc_c2e4);
+        assert_eq!(config_fingerprint(&cgs), 0xf0c2_40a8_5859_e007);
     }
 
     #[test]

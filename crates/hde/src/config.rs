@@ -60,14 +60,11 @@ impl std::str::FromStr for BfsMode {
 pub enum OrthoMethod {
     /// Modified Gram-Schmidt, BLAS-1 only — the paper's default.
     Mgs,
-    /// Classical Gram-Schmidt, BLAS-2 — consistently ~2–3× faster, but
-    /// requires all distance vectors precomputed.
+    /// Classical Gram-Schmidt, BLAS-2 — 2.1–2.8× faster than the paper's
+    /// textbook MGS (its Table 7), but slower than this workspace's fused,
+    /// panelled MGS (EXPERIMENTS.md); requires all distance vectors
+    /// precomputed.
     Cgs,
-    /// Block Classical Gram-Schmidt with one reorthogonalization pass,
-    /// BLAS-3: panels of columns projected against the kept prefix with
-    /// two GEMM-shaped passes. The fastest variant on wide subspaces;
-    /// like CGS it needs all distance vectors precomputed.
-    Bcgs2,
 }
 
 impl std::str::FromStr for OrthoMethod {
@@ -77,10 +74,7 @@ impl std::str::FromStr for OrthoMethod {
         match s {
             "mgs" => Ok(OrthoMethod::Mgs),
             "cgs" => Ok(OrthoMethod::Cgs),
-            "bcgs2" => Ok(OrthoMethod::Bcgs2),
-            other => Err(format!(
-                "unknown ortho method {other:?} (expected mgs, cgs or bcgs2)"
-            )),
+            other => Err(format!("unknown ortho method {other:?} (expected mgs or cgs)")),
         }
     }
 }
@@ -284,7 +278,7 @@ mod tests {
     fn ortho_method_parses_from_str() {
         assert_eq!("mgs".parse(), Ok(OrthoMethod::Mgs));
         assert_eq!("cgs".parse(), Ok(OrthoMethod::Cgs));
-        assert_eq!("bcgs2".parse(), Ok(OrthoMethod::Bcgs2));
+        assert!("bcgs2".parse::<OrthoMethod>().is_err());
         assert!("gram".parse::<OrthoMethod>().is_err());
     }
 

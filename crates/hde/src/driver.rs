@@ -29,7 +29,7 @@ use parhde_linalg::dense::ColMajorMatrix;
 use parhde_linalg::eig::jacobi::try_symmetric_eigen;
 use parhde_linalg::error::check_matrix_finite;
 use parhde_linalg::gemm::{a_small, at_b};
-use parhde_linalg::ortho::{try_bcgs2, try_cgs, try_mgs, IncrementalMgs};
+use parhde_linalg::ortho::{try_cgs, try_mgs, IncrementalMgs};
 use parhde_linalg::LinalgError;
 
 /// How a pipeline responds to defective input.
@@ -319,7 +319,6 @@ pub(crate) fn pipeline_from_s(
             let outcome = match cfg.ortho {
                 OrthoMethod::Mgs => try_mgs(&mut smat, weights, tol, "dortho")?,
                 OrthoMethod::Cgs => try_cgs(&mut smat, weights, tol, "dortho")?,
-                OrthoMethod::Bcgs2 => try_bcgs2(&mut smat, weights, tol, "dortho")?,
             };
             outcome.kept
         }

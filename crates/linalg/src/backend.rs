@@ -2,9 +2,9 @@
 //!
 //! Every floating-point inner loop the profiler ever ranked — the shared
 //! 4×4 register-tile microkernel ([`crate::gemm`], [`crate::syrk`],
-//! [`crate::fused`]), the SpMM/fused row accumulations, the BCGS2 block
-//! projections ([`crate::ortho`]), and the BLAS-1 primitives
-//! ([`crate::blas1`]) — runs behind the [`Kernels`] trait. Two
+//! [`crate::fused`]), the SpMM/fused row accumulations, and the BLAS-1
+//! primitives ([`crate::blas1`], and through them the Gram-Schmidt passes
+//! of [`crate::ortho`]) — runs behind the [`Kernels`] trait. Two
 //! implementations exist:
 //!
 //! * [`ScalarKernels`] — the pre-backend scalar loops, moved here verbatim.
@@ -27,15 +27,14 @@
 //! | `row_scale`/`row_sub`/`row_sub_scaled` (SpMM rows) | bit-exact: elementwise |
 //! | `axpy_chunk`, `scale_chunk`    | bit-exact: elementwise mul+add        |
 //! | `dot_chunk`, `dot_weighted_chunk`, `sum_chunk` | ≤1e-13·‖x‖‖y‖ (lane reassociation + FMA) |
-//! | `ortho_dot` (BCGS2 pass 1)     | ≤1e-13·‖x‖‖y‖ (FMA contraction)       |
 //!
 //! Bit-exact kernels deliberately use separate multiply and add
 //! instructions — an FMA single-rounds `a·b + c` and would change the low
 //! bits of every chain. The dot-product family cannot be vectorized
 //! without widening the scalar summation chain into independent lanes, so
 //! it carries a documented tolerance instead; the decisions derived from
-//! those dots (BCGS2's energy criterion, the kept/dropped column verdicts)
-//! are required by the equivalence suite to be identical across backends.
+//! those dots (the kept/dropped column verdicts) are required by the
+//! equivalence suite to be identical across backends.
 //!
 //! ## Dispatch
 //!
@@ -146,8 +145,8 @@ pub trait Kernels: Sync + Send {
     /// Bit-exact.
     fn row_sub(&self, out: &mut [f64], src: &[f64]);
 
-    /// SpMM/fused/BCGS2 op: `out[c] -= α·src[c]` (weighted neighbor row;
-    /// BCGS2 pass-2 rank-update column). Bit-exact (mul then sub).
+    /// SpMM/fused row op: `out[c] -= α·src[c]` (one weighted neighbor
+    /// row). Bit-exact (mul then sub).
     fn row_sub_scaled(&self, out: &mut [f64], alpha: f64, src: &[f64]);
 
     /// Fused/SpMM whole-row assembly: `out[c] = α·src[c] − Σ_u pack[u·k+c]`
@@ -171,35 +170,6 @@ pub trait Kernels: Sync + Send {
             self.row_sub(out, &pack[u as usize * k..(u as usize + 1) * k]);
         }
     }
-
-    /// BCGS2 pass-2 whole-row rank update:
-    /// `out[c] -= Σ_i coeffs[i] · pack[bases[i] + c]`, pairs folded in
-    /// slice order. Per element this is exactly one
-    /// [`Kernels::row_sub_scaled`] per `(coeff, base)` pair — the default
-    /// body — so it is bit-exact across backends; SIMD implementations may
-    /// keep `out` register-resident across the kept prefix (each element's
-    /// mul-then-sub chain is unchanged: pairs in order, two roundings per
-    /// pair). Callers decide any zero-coefficient skipping *before* the
-    /// call so both backends see the same pair list.
-    fn rank_update_row(
-        &self,
-        out: &mut [f64],
-        coeffs: &[f64],
-        pack: &[f64],
-        bases: &[usize],
-    ) {
-        let k = out.len();
-        for (&c, &b) in coeffs.iter().zip(bases) {
-            self.row_sub_scaled(out, c, &pack[b..b + k]);
-        }
-    }
-
-    /// BCGS2 pass-1 projection dot over one chunk. The scalar reference is
-    /// the historical 4-lane accumulator loop of `ortho::block_project`;
-    /// SIMD widens the lanes and uses FMA — tolerance-class, with the
-    /// requirement that the energy-criterion and kept/dropped decisions
-    /// derived from it stay identical (asserted by the equivalence suite).
-    fn ortho_dot(&self, x: &[f64], y: &[f64]) -> f64;
 }
 
 // ---------------------------------------------------------------------------
@@ -279,30 +249,6 @@ impl Kernels for ScalarKernels {
             *o -= alpha * s;
         }
     }
-
-    fn ortho_dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        // Four independent accumulator lanes break the serial add
-        // dependency (fixed lane assignment ⇒ the summation order is
-        // still schedule-independent) — the historical `block_project`
-        // pass-1 loop.
-        let mut acc = [0.0f64; 4];
-        for (ca, pa) in x.chunks_exact(4).zip(y.chunks_exact(4)) {
-            acc[0] += ca[0] * pa[0];
-            acc[1] += ca[1] * pa[1];
-            acc[2] += ca[2] * pa[2];
-            acc[3] += ca[3] * pa[3];
-        }
-        let mut tail = 0.0;
-        for (&a, &b) in x
-            .chunks_exact(4)
-            .remainder()
-            .iter()
-            .zip(y.chunks_exact(4).remainder())
-        {
-            tail += a * b;
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -326,8 +272,7 @@ mod avx2 {
 
     use std::arch::x86_64::*;
 
-    /// Horizontal sum in the fixed order `(l0+l1) + (l2+l3)` — the same
-    /// combination the scalar 4-lane reference uses.
+    /// Horizontal sum in the fixed order `(l0+l1) + (l2+l3)`.
     #[inline]
     unsafe fn hsum(v: __m256d) -> f64 {
         let mut l = [0.0f64; 4];
@@ -628,65 +573,6 @@ mod avx2 {
         }
     }
 
-    /// Bit-exact whole-row rank update:
-    /// `out[j] -= Σ_i coeffs[i] · pack[bases[i] + j]`, pairs in slice
-    /// order. The output row stays register-resident across the kept
-    /// prefix (one load + one store per 16-element chunk instead of one
-    /// load+store per coefficient); each element's chain is the scalar
-    /// one — separate multiply and subtract per pair, no FNMADD.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA; `coeffs.len() == bases.len()`; every row
-    /// `pack[b .. b + out.len()]` in bounds.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn rank_update_row(
-        out: &mut [f64],
-        coeffs: &[f64],
-        pack: &[f64],
-        bases: &[usize],
-    ) {
-        let k = out.len();
-        let (op, pp) = (out.as_mut_ptr(), pack.as_ptr());
-        let mut j = 0usize;
-        while j + 16 <= k {
-            let mut r0 = _mm256_loadu_pd(op.add(j));
-            let mut r1 = _mm256_loadu_pd(op.add(j + 4));
-            let mut r2 = _mm256_loadu_pd(op.add(j + 8));
-            let mut r3 = _mm256_loadu_pd(op.add(j + 12));
-            for (&c, &b) in coeffs.iter().zip(bases) {
-                let vc = _mm256_set1_pd(c);
-                let sp = pp.add(b + j);
-                r0 = _mm256_sub_pd(r0, _mm256_mul_pd(vc, _mm256_loadu_pd(sp)));
-                r1 = _mm256_sub_pd(r1, _mm256_mul_pd(vc, _mm256_loadu_pd(sp.add(4))));
-                r2 = _mm256_sub_pd(r2, _mm256_mul_pd(vc, _mm256_loadu_pd(sp.add(8))));
-                r3 = _mm256_sub_pd(r3, _mm256_mul_pd(vc, _mm256_loadu_pd(sp.add(12))));
-            }
-            _mm256_storeu_pd(op.add(j), r0);
-            _mm256_storeu_pd(op.add(j + 4), r1);
-            _mm256_storeu_pd(op.add(j + 8), r2);
-            _mm256_storeu_pd(op.add(j + 12), r3);
-            j += 16;
-        }
-        while j + 4 <= k {
-            let mut r = _mm256_loadu_pd(op.add(j));
-            for (&c, &b) in coeffs.iter().zip(bases) {
-                let prod =
-                    _mm256_mul_pd(_mm256_set1_pd(c), _mm256_loadu_pd(pp.add(b + j)));
-                r = _mm256_sub_pd(r, prod);
-            }
-            _mm256_storeu_pd(op.add(j), r);
-            j += 4;
-        }
-        while j < k {
-            let mut acc = *op.add(j);
-            for (&c, &b) in coeffs.iter().zip(bases) {
-                acc -= c * *pp.add(b + j);
-            }
-            *op.add(j) = acc;
-            j += 1;
-        }
-    }
-
     /// Bit-exact full-tile microkernel: four `__m256d` accumulators, one
     /// per output column `jj`, each lane one of the four `ii` chains.
     /// Separate multiply and add per step reproduce the scalar chains
@@ -820,28 +706,6 @@ impl Kernels for SimdKernels {
         // SAFETY: bounds asserted above; AVX2+FMA verified at install time.
         unsafe { avx2::laplacian_row(out, alpha, src, pack, neighbors) }
     }
-
-    fn rank_update_row(
-        &self,
-        out: &mut [f64],
-        coeffs: &[f64],
-        pack: &[f64],
-        bases: &[usize],
-    ) {
-        let k = out.len();
-        assert_eq!(coeffs.len(), bases.len(), "coeff/base length mismatch");
-        for &b in bases {
-            assert!(b + k <= pack.len(), "rank-update row out of bounds");
-        }
-        // SAFETY: bounds asserted above; AVX2+FMA verified at install time.
-        unsafe { avx2::rank_update_row(out, coeffs, pack, bases) }
-    }
-
-    fn ortho_dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        assert_eq!(x.len(), y.len(), "ortho_dot length mismatch");
-        // SAFETY: lengths asserted; AVX2+FMA verified at install time.
-        unsafe { avx2::dot(x, y) }
-    }
 }
 
 /// Off x86_64 the SIMD backend is never installable, so these bodies are
@@ -886,9 +750,6 @@ impl Kernels for SimdKernels {
     }
     fn row_sub_scaled(&self, out: &mut [f64], alpha: f64, src: &[f64]) {
         ScalarKernels.row_sub_scaled(out, alpha, src);
-    }
-    fn ortho_dot(&self, x: &[f64], y: &[f64]) -> f64 {
-        ScalarKernels.ortho_dot(x, y)
     }
 }
 
@@ -1044,8 +905,6 @@ pub enum Family {
     Spmm,
     /// BLAS-1 vector primitives.
     Blas1,
-    /// BCGS2 block projections.
-    Ortho,
 }
 
 /// Records `elems` elements processed by `family` under the active
@@ -1056,11 +915,9 @@ pub fn count(family: Family, elems: u64) {
         (ID_SIMD, Family::Gemm) => "linalg.backend.simd.gemm",
         (ID_SIMD, Family::Spmm) => "linalg.backend.simd.spmm",
         (ID_SIMD, Family::Blas1) => "linalg.backend.simd.blas1",
-        (ID_SIMD, Family::Ortho) => "linalg.backend.simd.ortho",
         (_, Family::Gemm) => "linalg.backend.scalar.gemm",
         (_, Family::Spmm) => "linalg.backend.scalar.spmm",
         (_, Family::Blas1) => "linalg.backend.scalar.blas1",
-        (_, Family::Ortho) => "linalg.backend.scalar.ortho",
     };
     parhde_trace::counter!(name, elems);
 }
@@ -1190,31 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_update_row_is_bit_exact_and_matches_its_default_body() {
-        let (s, v) = pair();
-        for k in [0usize, 1, 3, 4, 5, 15, 16, 17, 51, 64, 65] {
-            for nc in [0usize, 1, 2, 7, 23] {
-                let pack = random_vec(nc * k + k.max(1), (k * 37 + nc) as u64);
-                let coeffs = random_vec(nc, (k + nc * 13) as u64);
-                let bases: Vec<usize> = (0..nc).map(|i| i * k).collect();
-                let mut outs = vec![0.5; k];
-                let mut outv = vec![0.5; k];
-                s.rank_update_row(&mut outs, &coeffs, &pack, &bases);
-                v.rank_update_row(&mut outv, &coeffs, &pack, &bases);
-                // Reference: the default body's composition of row ops.
-                let mut outr = vec![0.5; k];
-                for (&c, &b) in coeffs.iter().zip(&bases) {
-                    s.row_sub_scaled(&mut outr, c, &pack[b..b + k]);
-                }
-                for ((a, b), r) in outs.iter().zip(&outv).zip(&outr) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} nc={nc}");
-                    assert_eq!(a.to_bits(), r.to_bits(), "k={k} nc={nc}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dot_family_stays_within_documented_tolerance() {
         let (s, v) = pair();
         for n in [0usize, 1, 3, 5, 63, 64, 65, 1 << 14] {
@@ -1230,7 +1062,6 @@ mod tests {
                 1e-13 * na * nb + f64::MIN_POSITIVE
             };
             assert!((s.dot_chunk(&x, &y) - v.dot_chunk(&x, &y)).abs() <= bound(&x, &y));
-            assert!((s.ortho_dot(&x, &y) - v.ortho_dot(&x, &y)).abs() <= bound(&x, &y));
             let dw = (s.dot_weighted_chunk(&x, &d, &y) - v.dot_weighted_chunk(&x, &d, &y)).abs();
             assert!(dw <= 8.0 * bound(&x, &y), "n={n}");
             let su = (s.sum_chunk(&x) - v.sum_chunk(&x)).abs();

@@ -8,8 +8,6 @@
 //!   generators and pivot selection. Experiments in the paper are rerun with
 //!   fixed seeds, so all randomness in the workspace flows through these.
 //! * [`timing`] — wall-clock timers.
-//! * [`stats`] — summary statistics (mean/min/max/percentiles) for benchmark
-//!   reporting.
 //! * [`fmt`] — human-friendly formatting of counts and durations for the
 //!   table-reproduction harness.
 //! * [`par`] — the fork-join runtime: a persistent pool of worker threads
@@ -38,7 +36,6 @@ pub mod fmt;
 pub mod par;
 pub mod rng;
 pub mod shortest;
-pub mod stats;
 pub mod supervisor;
 pub mod threads;
 pub mod timing;

@@ -7,7 +7,7 @@
 //! results must match **bitwise**, including NaN/denormal/±0 poison.
 //! *Tolerance-class* kernels — the dot family — reassociate across lanes
 //! and may contract with FMA; they must stay within `1e-13·‖x‖₂·‖y‖₂` of
-//! the scalar reference, and every *decision* derived from them (BCGS2
+//! the scalar reference, and every *decision* derived from them (MGS
 //! kept/dropped columns, pivot sequences) must be identical.
 //!
 //! The sweeps are driven by the workspace's own deterministic PRNG — a
@@ -131,27 +131,6 @@ fn laplacian_row_bitwise_equal_under_poison() {
     }
 }
 
-/// The gathered rank-update row (BCGS2 pass 2) is bitwise identical
-/// across backends for every (width, prefix-size) combination, poison
-/// included.
-#[test]
-fn rank_update_row_bitwise_equal_under_poison() {
-    let Some(v) = backend::simd() else { return };
-    let s = backend::scalar();
-    let mut rng = Xoshiro256StarStar::seed_from_u64(0xe9_05);
-    for k in TAIL_SHAPES {
-        for nc in [0usize, 1, 2, 7, 23] {
-            let pack = poison_vec(nc * k + k, &mut rng);
-            let coeffs = poison_vec(nc, &mut rng);
-            let bases: Vec<usize> = (0..nc).map(|i| i * k).collect();
-            let (mut os, mut ov) = (vec![0.25; k], vec![0.25; k]);
-            s.rank_update_row(&mut os, &coeffs, &pack, &bases);
-            v.rank_update_row(&mut ov, &coeffs, &pack, &bases);
-            assert_eq!(bits(&os), bits(&ov), "k={k} nc={nc}");
-        }
-    }
-}
-
 /// Tolerance-class dots stay within the documented bound on ordinary
 /// data at every tail shape.
 #[test]
@@ -171,11 +150,6 @@ fn dot_family_within_documented_tolerance() {
                 (s.dot_chunk(&x, &y) - v.dot_chunk(&x, &y)).abs() <= bound,
                 "{}",
                 ctx("dot")
-            );
-            assert!(
-                (s.ortho_dot(&x, &y) - v.ortho_dot(&x, &y)).abs() <= bound,
-                "{}",
-                ctx("ortho_dot")
             );
             assert!(
                 (s.sum_chunk(&x) - v.sum_chunk(&x)).abs()
@@ -210,7 +184,6 @@ fn dot_nan_poison_propagates_on_both_backends() {
             let y = vec![2.0; n];
             assert!(s.dot_chunk(&x, &y).is_nan(), "scalar n={n} pos={pos}");
             assert!(v.dot_chunk(&x, &y).is_nan(), "simd n={n} pos={pos}");
-            assert!(v.ortho_dot(&x, &y).is_nan(), "ortho n={n} pos={pos}");
             assert!(v.sum_chunk(&x).is_nan(), "sum n={n} pos={pos}");
             let d = vec![1.0; n];
             assert!(
@@ -280,11 +253,11 @@ fn fused_triple_product_bitwise_equal_across_backends_and_threads() {
     }
 }
 
-/// BCGS2's kept/dropped decisions are identical across backends even
+/// MGS's kept/dropped decisions are identical across backends even
 /// though its projection dots are tolerance-class — including on a panel
 /// engineered to actually drop a column.
 #[test]
-fn bcgs2_decisions_identical_across_backends() {
+fn mgs_decisions_identical_across_backends() {
     if !backend::simd_supported() {
         return;
     }
@@ -302,7 +275,7 @@ fn bcgs2_decisions_identical_across_backends() {
     let run = |be| {
         with_backend(be, || {
             let mut c = panel.clone();
-            let outcome = ortho::bcgs2(&mut c, Some(&weights), 1e-3);
+            let outcome = ortho::mgs(&mut c, Some(&weights), 1e-3);
             (outcome.kept, outcome.dropped)
         })
     };

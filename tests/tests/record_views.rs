@@ -99,7 +99,6 @@ fn stats_reports_and_timelines_render_one_record() {
     let variants = [
         ("project_from_raw", ParHdeConfig { project_from_raw: true, ..cfg(1) }),
         ("cgs", ParHdeConfig { ortho: OrthoMethod::Cgs, ..cfg(1) }),
-        ("bcgs2", ParHdeConfig { ortho: OrthoMethod::Bcgs2, ..cfg(1) }),
         ("staged", ParHdeConfig { linalg_mode: LinalgMode::Staged, ..cfg(1) }),
         ("plain_ortho", ParHdeConfig { d_orthogonalize: false, ..cfg(1) }),
         (
